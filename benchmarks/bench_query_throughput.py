@@ -6,7 +6,7 @@ the scale-free shape of the paper's datasets) for:
 * ``dist_query`` looped one pair at a time — list backend and frozen
   flat backend;
 * ``batch_dist_query`` — the vectorized join over the flat arrays, once
-  per available kernel tier (pure numpy always; the compiled numba/cext
+  per available kernel tier (pure numpy always; the compiled cext
   hub-join when available — the headline ``label_queries`` /
   ``sief_queries`` entries are the accelerated tier, the numpy-tier
   reference lands under ``*_numpy``);

@@ -44,8 +44,9 @@ from repro.obs.chrometrace import write_chrome_trace  # noqa: E402
 from repro.obs.events import EventLog  # noqa: E402
 from repro.obs.trace import TraceRecorder  # noqa: E402
 from repro.core.builder import SIEFBuilder  # noqa: E402
-from repro.core.index import SIEFIndex  # noqa: E402
+from repro.core.lazy import PagedSIEFIndex  # noqa: E402
 from repro.core.query import SIEFQueryEngine  # noqa: E402
+from repro.core.segstore import SegmentStore, write_index  # noqa: E402
 from repro.graph import generators  # noqa: E402
 from repro.labeling.pll import build_pll  # noqa: E402
 from repro.serve.client import AsyncServeClient  # noqa: E402
@@ -59,19 +60,21 @@ WORKLOAD_SEED = 42
 
 
 def build_serving_index(vertices: int, attach: int, cases: int):
-    """A frozen, npz-round-tripped, memory-mapped serving index."""
+    """A serving engine over a ``.siefseg`` store, paged in as the daemon does.
+
+    The LRU holds every sampled case, so the measured phases time the
+    serving path rather than eviction churn.
+    """
     graph = generators.barabasi_albert(vertices, attach, seed=GRAPH_SEED)
     rng = random.Random(GRAPH_SEED)
     edges = sorted(graph.edges())
     sampled = rng.sample(edges, min(cases, len(edges)))
     labeling = build_pll(graph)
     index, _report = SIEFBuilder(graph, labeling).build(edges=sampled)
-    index.freeze()
     tmp = tempfile.TemporaryDirectory(prefix="sief-bench-serve-")
-    store = Path(tmp.name) / "index.npz"
-    index.save_npz(store)
-    mapped = SIEFIndex.load(store, mmap_mode="r")
-    return graph, sampled, SIEFQueryEngine(mapped), tmp
+    store = write_index(index, Path(tmp.name) / "index.siefseg").path
+    paged = PagedSIEFIndex(SegmentStore(store), capacity=max(1, len(sampled)))
+    return graph, sampled, SIEFQueryEngine(paged), tmp
 
 
 def make_queries(n: int, edges, count: int, seed: int):

@@ -8,7 +8,7 @@ the paper's datasets) three ways:
   interpreted BFS per affected hub);
 * ``batched`` serial — vectorized frontier IDENTIFY + bit-parallel
   RELABEL, once per available kernel tier (pure numpy always; the
-  compiled numba/cext tier when one is available — the headline
+  compiled cext tier when it is available — the headline
   ``serial_batched`` entry is the fastest tier, and the per-tier split
   lives under ``serial_batched_by_tier``);
 * ``batched`` via the shared-memory parallel driver — recorded to track
@@ -184,7 +184,6 @@ def _run_impl(
             algorithm="batched",
             workers=workers,
             edges=edges,
-            shared_memory=True,
         )
         parallel_seconds = time.perf_counter() - t0
         _assert_identical(idx_scalar, idx_par, "shm parallel vs scalar")

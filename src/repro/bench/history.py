@@ -76,8 +76,8 @@ def env_metadata() -> Dict[str, object]:
     Everything that moves timing numbers between machines: interpreter
     and numpy versions, platform triple, CPU count, hostname — plus the
     git SHA (when available) so a history line names the code it
-    measured, and the effective kernel tier (``numpy``/``numba``/
-    ``cext``) so a tier switch can never masquerade as a regression or
+    measured, and the effective kernel tier (``numpy``/``cext``)
+    so a tier switch can never masquerade as a regression or
     an improvement: :func:`compare` refuses cross-tier comparisons the
     same way it refuses cross-host ones.
     """
@@ -179,7 +179,7 @@ class CrossHostError(ValueError):
 class CrossTierError(ValueError):
     """Baseline and candidate were measured on different kernel tiers.
 
-    A numpy-tier baseline against a numba/cext candidate measures the
+    A numpy-tier baseline against a cext candidate measures the
     tier switch, not the code change under test; :func:`compare` raises
     this (with both tiers in the message) unless the caller passes
     ``allow_cross_tier=True`` — which is exactly what a deliberate

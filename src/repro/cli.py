@@ -580,8 +580,6 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     for tier, info in report.get("backends", {}).items():
         status = "available" if info.get("available") else "unavailable"
         detail_keys = (
-            "numba_version",
-            "llvmlite_version",
             "numpy_version",
             "compiler",
             "library",
@@ -602,28 +600,15 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
 
 def _cmd_freeze(args: argparse.Namespace) -> int:
     from repro.core.index import SIEFIndex
+    from repro.core.segstore import write_index
 
     index = SIEFIndex.load(args.index)
-    index.freeze()
-    if str(args.output).endswith(".siefseg"):
-        from repro.core.segstore import SegmentWriter
-
-        with SegmentWriter(args.output, index.labeling) as writer:
-            for edge, si in index.iter_cases():
-                writer.append_case(edge, si)
-        print(
-            f"segment store written to {writer.path}: "
-            f"n={index.labeling.num_vertices}, cases={writer.num_cases}, "
-            f"supplemental_entries={writer.total_entries}, "
-            f"segment_bytes={writer.bytes_written}"
-        )
-        return 0
-    index.save_npz(args.output, compress=args.compress)
-    mode = "compressed" if args.compress else "uncompressed (mmap-ready)"
+    writer = write_index(index, args.output)
     print(
-        f"frozen store written to {args.output} ({mode}): "
-        f"n={index.labeling.num_vertices}, cases={index.num_cases}, "
-        f"supplemental_entries={index.total_supplemental_entries()}"
+        f"segment store written to {writer.path}: "
+        f"n={index.labeling.num_vertices}, cases={writer.num_cases}, "
+        f"supplemental_entries={writer.total_entries}, "
+        f"segment_bytes={writer.bytes_written}"
     )
     return 0
 
@@ -634,14 +619,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import os
     import signal as _signal
     import socket
+    from pathlib import Path
 
-    from repro.core.index import SIEFIndex
+    from repro.core.lazy import PagedSIEFIndex
     from repro.core.query import SIEFQueryEngine
+    from repro.core.segstore import STORE_SUFFIX, SegmentStore
     from repro.obs import hooks as obs_hooks
     from repro.obs.metrics import MetricsRegistry
     from repro.serve.server import ServeConfig, run_server
 
     from repro.obs.events import EventLog
+
+    if Path(args.index).suffix != STORE_SUFFIX:
+        print(
+            f"sief serve: {args.index} is not a {STORE_SUFFIX} segment "
+            f"store; convert it with `sief freeze {args.index} "
+            f"-o X{STORE_SUFFIX}`",
+            file=sys.stderr,
+        )
+        return 2
 
     events = None
     sample = args.trace_sample
@@ -652,37 +648,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             sink=args.event_log,
         )
 
-    registry = None
-    if str(args.index).endswith(".siefseg"):
-        # Demand-paged serving: mmap'd segment store behind an LRU of
-        # hot failure cases — the index never fully resides in memory.
-        # The server's /metrics registry doubles as the global hooks
-        # registry so the paging counters are exposed too.
-        from repro.core.lazy import PagedSIEFIndex
-        from repro.core.segstore import SegmentStore
-
-        store = SegmentStore(args.index)
-        index = PagedSIEFIndex(store, capacity=args.cache_cases)
-        registry = MetricsRegistry()
-        obs_hooks.install(registry)
-        print(
-            f"loaded {args.index}: n={index.labeling.num_vertices}, "
-            f"cases={index.num_cases} "
-            f"(demand-paged, lru={args.cache_cases})",
-            file=sys.stderr,
-        )
-    else:
-        mmap_mode = None if args.no_mmap else "r"
-        if not str(args.index).endswith(".npz"):
-            mmap_mode = None
-        index = SIEFIndex.load(args.index, mmap_mode=mmap_mode)
-        index.freeze()
-        print(
-            f"loaded {args.index}: n={index.labeling.num_vertices}, "
-            f"cases={index.num_cases}"
-            + (" (mmap)" if mmap_mode else ""),
-            file=sys.stderr,
-        )
+    # Demand-paged serving: mmap'd segment store behind an LRU of hot
+    # failure cases — the index never fully resides in memory.  The
+    # server's /metrics registry doubles as the global hooks registry so
+    # the paging counters are exposed too.
+    index = PagedSIEFIndex(SegmentStore(args.index), capacity=args.cache_cases)
+    registry = MetricsRegistry()
+    obs_hooks.install(registry)
+    print(
+        f"loaded {args.index}: n={index.labeling.num_vertices}, "
+        f"cases={index.num_cases} "
+        f"(demand-paged, lru={args.cache_cases})",
+        file=sys.stderr,
+    )
     engine = SIEFQueryEngine(index)
 
     config = ServeConfig(
@@ -810,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernels",
-        choices=["auto", "numpy", "numba", "cext"],
+        choices=["auto", "numpy", "cext"],
         default=None,
         help=(
             "kernel tier for the hot loops (default: $SIEF_KERNELS or "
@@ -904,20 +882,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     freeze = sub.add_parser(
         "freeze",
-        help="convert an index to the frozen flat-array (npz) store",
+        help="convert an index to the mmap-able .siefseg segment store",
     )
-    freeze.add_argument("index", help="a .sief (or .npz) index file")
+    freeze.add_argument("index", help="a .sief (or .siefseg) index")
     freeze.add_argument(
         "--output",
         "-o",
-        default="index.npz",
-        help="output store; a .siefseg suffix writes the out-of-core "
-        "segment store instead of a single npz archive",
-    )
-    freeze.add_argument(
-        "--compress",
-        action="store_true",
-        help="zip-deflate the store (smaller, but not mmap-able)",
+        default="index.siefseg",
+        help="output store directory (.siefseg is appended if missing)",
     )
     freeze.set_defaults(func=_cmd_freeze)
 
@@ -927,16 +899,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "index",
-        help="index file; .npz enables mmap loading, .siefseg serves "
-        "demand-paged from the segment store",
+        help="a .siefseg segment store (see `sief freeze`), served "
+        "demand-paged",
     )
     serve.add_argument(
         "--cache-cases",
         type=int,
         default=256,
         metavar="N",
-        help="LRU capacity (resident failure cases) for .siefseg "
-        "demand-paged serving",
+        help="LRU capacity (resident failure cases) of the demand-paged "
+        "index",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -946,8 +918,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="forked worker processes sharing the socket and (with an "
-        "npz index) one memory-mapped copy of the label arrays",
+        help="forked worker processes sharing the socket and one "
+        "memory-mapped copy of the segment store",
     )
     serve.add_argument(
         "--max-batch",
@@ -974,11 +946,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         metavar="SECONDS",
         help="per-request deadline; overruns answer 504",
-    )
-    serve.add_argument(
-        "--no-mmap",
-        action="store_true",
-        help="copy the npz arrays into memory instead of mapping them",
     )
     serve.add_argument(
         "--access-log",

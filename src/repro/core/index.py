@@ -57,48 +57,21 @@ class SIEFIndex:
             si.flat()
         return self
 
-    def save_npz(
-        self, path: Union[str, "Path"], compress: bool = False
-    ) -> None:
-        """Write the frozen flat-array (npz) store — the serving format.
-
-        See :mod:`repro.core.npzstore`; saved uncompressed by default so
-        :meth:`load` with ``mmap_mode="r"`` maps it without copies.
-        """
-        from repro.core.npzstore import save_index_npz
-
-        save_index_npz(self, path, compress=compress)
-
     @classmethod
-    def load(
-        cls, path: Union[str, "Path"], mmap_mode: Optional[str] = None
-    ) -> "SIEFIndex":
+    def load(cls, path: Union[str, "Path"]) -> "SIEFIndex":
         """Load an index from either on-disk format.
 
-        ``.npz`` paths route through :mod:`repro.core.npzstore`;
-        ``mmap_mode="r"`` maps the label arrays read-only straight out
-        of the file (zero copy, one physical copy across processes).
-        ``.siefseg`` directories (the out-of-core segment store) rebuild
-        a fully-resident index whose supplements stay views of the
-        segment mmap — for demand-paged serving use
-        :class:`~repro.core.lazy.PagedSIEFIndex` instead.
-        Any other path loads the legacy binary format, for which
-        ``mmap_mode`` must be ``None``.
+        ``.siefseg`` directories (the segment store) rebuild a
+        fully-resident index whose supplements stay views of the segment
+        mmap — for demand-paged serving use
+        :class:`~repro.core.lazy.PagedSIEFIndex` instead.  Any other path
+        loads the legacy binary format.
         """
         p = Path(path)
-        if p.suffix == ".npz":
-            from repro.core.npzstore import load_index_npz
-
-            return load_index_npz(p, mmap_mode=mmap_mode)
         if p.suffix == ".siefseg":
             from repro.core.segstore import SegmentStore
 
             return SegmentStore(p).to_index()
-        if mmap_mode is not None:
-            raise ValueError(
-                "mmap_mode is only supported for .npz stores; convert "
-                "with `sief freeze` first"
-            )
         from repro.core.serialize import load_index
 
         return load_index(p)

@@ -6,20 +6,17 @@ full build parallelizes embarrassingly across processes.  The paper ran
 on a 32-core Xeon without exploiting this; in CPython (GIL) processes
 are the only way to.
 
-Two transport modes hand workers the (read-only) build inputs:
+A pool hands its workers the (read-only) build inputs over **shared
+memory**: the parent publishes one :mod:`repro.core.shm` arena — CSR
+arrays, frozen labeling arrays, ordering permutation — and each worker
+attaches zero-copy read-only views.  Startup cost is independent of
+index size; the parent guarantees ``close()``/``unlink()`` in a
+``finally`` so no ``/dev/shm`` segment survives success, a worker
+exception, or ``KeyboardInterrupt``.  Small builds (one worker, or fewer
+than four cases) run in-process with no pool.
 
-* **shared memory** (default when a pool is used): the parent publishes
-  one :mod:`repro.core.shm` arena — CSR arrays, frozen labeling arrays,
-  ordering permutation — and each worker attaches zero-copy read-only
-  views.  Startup cost is independent of index size; the parent
-  guarantees ``close()``/``unlink()`` in a ``finally`` so no ``/dev/shm``
-  segment survives success, a worker exception, or ``KeyboardInterrupt``.
-* **pickle** (``shared_memory=False``): the legacy one-time pickling of
-  the graph and labeling into the pool initializer; kept as the
-  reference transport for the three-way parity tests.
-
-Either way each worker returns its chunk's supplemental indexes, which
-the parent merges into a normal :class:`~repro.core.index.SIEFIndex` —
+Each worker returns its chunk's supplemental indexes, which the parent
+merges into a normal :class:`~repro.core.index.SIEFIndex` —
 bit-identical to a serial build (asserted in tests).
 """
 
@@ -57,23 +54,16 @@ _WORKER_SPAN_CAPACITY = 4096
 _STATE: dict = {}
 
 
-def _init_worker(
-    graph: Graph,
-    labeling: Labeling,
-    algorithm: str,
-    obs: bool = False,
-    trace: bool = False,
-    profile: bool = False,
+def _init_in_process(
+    graph: Graph, labeling: Labeling, algorithm: str, obs: bool
 ) -> None:
-    """Legacy transport: inputs arrive pickled (or fork-copied)."""
+    """State for a build that runs in this process, without a pool."""
     _STATE.clear()
     _STATE["graph"] = graph
     _STATE["labeling"] = labeling
     _STATE["algorithm"] = algorithm
     _STATE["relabel"] = RELABEL_ALGORITHMS[algorithm]
     _STATE["obs"] = obs
-    _STATE["trace"] = trace
-    _STATE["profile"] = profile
     _STATE["csr"] = None
 
 
@@ -208,16 +198,13 @@ def build_sief_parallel(
     algorithm: str = "bfs_all",
     workers: Optional[int] = None,
     edges: Optional[Sequence[Edge]] = None,
-    shared_memory: Optional[bool] = None,
 ) -> Tuple[SIEFIndex, BuildReport]:
     """Build a SIEF index using a pool of worker processes.
 
     Parameters mirror :class:`~repro.core.builder.SIEFBuilder` plus
-    ``workers`` (default: CPU count) and ``shared_memory`` (default:
-    use the shm transport whenever a pool is actually spawned; pass
-    ``False`` to force the legacy pickle transport).  With one worker
-    everything runs in-process (no pool), which keeps small builds and
-    tests cheap.
+    ``workers`` (default: CPU count).  A pool always receives its
+    inputs through the shared-memory arena; with one worker everything
+    runs in-process (no pool), which keeps small builds and tests cheap.
     """
     if algorithm not in RELABEL_ALGORITHMS:
         raise IndexError_(
@@ -240,8 +227,6 @@ def build_sief_parallel(
     parent_profiler = _obs.profiler
     obs_enabled = parent_reg is not None
     use_pool = workers > 1 and len(edge_list) >= 4
-    if shared_memory is None:
-        shared_memory = use_pool
     # Worker-side tracing/profiling only makes sense with a real pool:
     # the in-process path already runs under the parent's hooks, so
     # giving it a second tracer would double-record every case span.
@@ -260,7 +245,7 @@ def build_sief_parallel(
 
     with _obs.span("sief.build.parallel"):
         if not use_pool:
-            _init_worker(graph, labeling, algorithm, obs=obs_enabled)
+            _init_in_process(graph, labeling, algorithm, obs_enabled)
             results = _drain([_build_chunk(edge_list)])
         else:
             try:
@@ -268,52 +253,35 @@ def build_sief_parallel(
             except ValueError:  # pragma: no cover - non-POSIX platforms
                 ctx = multiprocessing.get_context("spawn")
             chunks = _chunks(edge_list, workers * 4)
-            if shared_memory:
-                csr = CSRGraph.from_graph(graph)
-                labeling.freeze()
-                arena = publish_build_inputs(csr, labeling)
-                try:
-                    with ctx.Pool(
-                        processes=workers,
-                        initializer=_init_worker_shm,
-                        initargs=(
-                            arena.spec(),
-                            algorithm,
-                            obs_enabled,
-                            trace_enabled,
-                            profile_enabled,
-                        ),
-                    ) as pool:
-                        # imap_unordered so completed chunks surface as
-                        # they finish (live progress); merge order does
-                        # not matter — records are sorted below and the
-                        # metric merges are commutative.
-                        results = _drain(
-                            pool.imap_unordered(_build_chunk, chunks)
-                        )
-                finally:
-                    # Runs on success, worker exception, and
-                    # KeyboardInterrupt alike; the Pool context manager
-                    # has already terminated the children, so no worker
-                    # still maps the segment.
-                    arena.close()
-                    arena.unlink()
-            else:
+            csr = CSRGraph.from_graph(graph)
+            labeling.freeze()
+            arena = publish_build_inputs(csr, labeling)
+            try:
                 with ctx.Pool(
                     processes=workers,
-                    initializer=_init_worker,
+                    initializer=_init_worker_shm,
                     initargs=(
-                        graph,
-                        labeling,
+                        arena.spec(),
                         algorithm,
                         obs_enabled,
                         trace_enabled,
                         profile_enabled,
                     ),
                 ) as pool:
+                    # imap_unordered so completed chunks surface as
+                    # they finish (live progress); merge order does
+                    # not matter — records are sorted below and the
+                    # metric merges are commutative.
                     results = _drain(
                         pool.imap_unordered(_build_chunk, chunks)
                     )
+            finally:
+                # Runs on success, worker exception, and
+                # KeyboardInterrupt alike; the Pool context manager
+                # has already terminated the children, so no worker
+                # still maps the segment.
+                arena.close()
+                arena.unlink()
 
         worker_spans: dict = {}
         for chunk, snapshot, obs_extra in results:

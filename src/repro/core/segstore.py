@@ -1,19 +1,21 @@
-"""Out-of-core SIEF storage: append-only segments + flat offset index.
+"""The SIEF index store: append-only segments + flat offset index.
 
-The npz store (:mod:`repro.core.npzstore`) packs the whole index into
-one archive — perfect for serving an index that already fit in RAM, but
-useless for *building* one that never will: ``pack_index`` wants every
-supplement resident at once.  This module is the spill target of the
+SIEF builds its index once and then only reads it, so one flat mmap
+layout serves every query: the frozen labeling's CSR arrays plus one
+record per failure case.  The same store is the spill target of the
 sharded build: each finished shard's supplements append to a single
 segment file, the in-RAM shard is dropped, and peak build memory becomes
-O(shard) instead of O(E).
+O(shard) instead of O(E).  ``sief freeze`` converts an in-RAM index to
+this layout and ``sief serve`` serves it demand-paged through
+:class:`~repro.core.lazy.PagedSIEFIndex`.
 
 A store is a directory ``<name>.siefseg/`` holding three files:
 
 ``labeling.npz``
     The frozen labeling's flat arrays (``vertex_at``/``offsets``/
-    ``hubs``/``dists`` — the npzstore key names), saved uncompressed so
-    :func:`repro.core.npzstore._memmap_npz` maps them without copies.
+    ``hubs``/``dists`` — the key names of the shared-memory build spec
+    in :mod:`repro.core.shm`), saved uncompressed so :func:`_memmap_npz`
+    maps them without copies.
 ``segments.bin``
     One record per failure case, appended in canonical edge order.  A
     record is seven little-endian ``int64`` header words ``(u, v,
@@ -37,14 +39,17 @@ store refuses to answer rather than return wrong distances.
 from __future__ import annotations
 
 import os
+import struct
 import time
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.npzstore import MappedSupplement, _memmap_npz
+from repro.core.affected import AffectedVertices
+from repro.core.supplemental import FlatSupplement, SupplementalLabels
 from repro.exceptions import FailureCaseNotIndexed, StoreError
 from repro.graph.graph import Graph, normalize_edge
 from repro.labeling.label import Labeling
@@ -69,6 +74,202 @@ _HEADER_BYTES = _HEADER_WORDS * 8
 
 DEFAULT_SHARD_CASES = 4096
 """Default failure cases per build shard (~a few MB of supplements)."""
+
+
+# ---------------------------------------------------------------------------
+# Mapped supplement: SupplementalIndex duck type over one segment record
+# ---------------------------------------------------------------------------
+
+
+class MappedSupplement:
+    """Read-only ``SI(u, v)`` view over one decoded segment record.
+
+    Implements the surface :class:`~repro.core.query.SIEFQueryEngine`
+    and :mod:`repro.core.serialize` touch — ``affected``, ``get``,
+    ``flat``, ``edge``, ``labels``/``iter_labels``, ``total_entries`` —
+    without ever copying the rank/dist arrays: ``flat()`` returns views
+    into the segment mmap.  The affected-side tuples and the per-vertex
+    ``labels`` dict are built lazily and cached; for batch-path serving
+    they are never needed at all beyond the sides.
+    """
+
+    __slots__ = (
+        "_u", "_v", "_disc", "_side_u", "_side_v",
+        "_vertices", "_entry_offsets", "_ranks", "_dists",
+        "_affected", "_flat", "_labels", "search_expanded",
+    )
+
+    def __init__(
+        self,
+        u: int,
+        v: int,
+        disconnected: bool,
+        side_u: np.ndarray,
+        side_v: np.ndarray,
+        vertices: np.ndarray,
+        entry_offsets: np.ndarray,
+        ranks: np.ndarray,
+        dists: np.ndarray,
+    ) -> None:
+        self._u = u
+        self._v = v
+        self._disc = disconnected
+        self._side_u = side_u
+        self._side_v = side_v
+        self._vertices = vertices
+        self._entry_offsets = entry_offsets
+        self._ranks = ranks
+        self._dists = dists
+        self._affected: Optional[AffectedVertices] = None
+        self._flat: Optional[FlatSupplement] = None
+        self._labels: Optional[Dict[int, SupplementalLabels]] = None
+        self.search_expanded = 0
+
+    # -- SupplementalIndex surface ----------------------------------------
+
+    @property
+    def edge(self) -> Tuple[int, int]:
+        return (self._u, self._v)
+
+    @property
+    def affected(self) -> AffectedVertices:
+        av = self._affected
+        if av is None:
+            av = AffectedVertices(
+                u=self._u,
+                v=self._v,
+                side_u=tuple(int(x) for x in self._side_u),
+                side_v=tuple(int(x) for x in self._side_v),
+                disconnected=self._disc,
+            )
+            self._affected = av
+        return av
+
+    def flat(self) -> FlatSupplement:
+        flat = self._flat
+        if flat is None:
+            # The record's entry offsets already start at 0 (``_decode``
+            # rejects any other record), so every array stays a view.
+            flat = FlatSupplement(
+                np.asarray(self._vertices, dtype=np.int64),
+                np.asarray(self._entry_offsets, dtype=np.int64),
+                self._ranks,
+                self._dists,
+            )
+            self._flat = flat
+        return flat
+
+    def get(self, vertex: int) -> SupplementalLabels:
+        flat = self.flat()
+        pos = int(np.searchsorted(flat.vertices, vertex))
+        if pos >= flat.vertices.size or flat.vertices[pos] != vertex:
+            return _EMPTY
+        lo, hi = int(flat.offsets[pos]), int(flat.offsets[pos + 1])
+        return SupplementalLabels(flat.ranks[lo:hi], flat.dists[lo:hi])
+
+    @property
+    def labels(self) -> Dict[int, SupplementalLabels]:
+        """Materialized per-vertex labels (built once, on first access)."""
+        labels = self._labels
+        if labels is None:
+            flat = self.flat()
+            labels = {}
+            for i, vertex in enumerate(flat.vertices):
+                lo, hi = int(flat.offsets[i]), int(flat.offsets[i + 1])
+                labels[int(vertex)] = SupplementalLabels(
+                    [int(r) for r in flat.ranks[lo:hi]],
+                    [int(d) for d in flat.dists[lo:hi]],
+                )
+            self._labels = labels
+        return labels
+
+    def iter_labels(self) -> Iterator[Tuple[int, SupplementalLabels]]:
+        labels = self.labels
+        for vertex in sorted(labels):
+            yield vertex, labels[vertex]
+
+    def total_entries(self) -> int:
+        return int(len(self._ranks))
+
+    def __repr__(self) -> str:
+        return (
+            f"MappedSupplement(edge={self.edge}, "
+            f"entries={self.total_entries()})"
+        )
+
+
+_EMPTY = SupplementalLabels([], [])
+
+
+def _memmap_npz(path: Path) -> Dict[str, np.ndarray]:
+    """Map every member of an *uncompressed* npz straight from the file.
+
+    npz is a zip; stored (not deflated) members sit contiguously, so each
+    array is a read-only :class:`numpy.memmap` at ``local header + npy
+    header`` into the archive itself.  Compressed members raise
+    :class:`StoreError` — the store's labeling must be re-written by
+    :class:`SegmentWriter`.
+    """
+    out: Dict[str, np.ndarray] = {}
+    with zipfile.ZipFile(path) as zf:
+        for info in zf.infolist():
+            name = info.filename
+            if name.endswith(".npy"):
+                name = name[: -len(".npy")]
+            if info.compress_type != zipfile.ZIP_STORED:
+                raise StoreError(
+                    f"npz member {info.filename!r} is compressed and cannot "
+                    "be memory-mapped; re-write the store with SegmentWriter"
+                )
+            with zf.open(info) as member:
+                version = np.lib.format.read_magic(member)
+                if version == (1, 0):
+                    shape, fortran, dtype = (
+                        np.lib.format.read_array_header_1_0(member)
+                    )
+                elif version == (2, 0):
+                    shape, fortran, dtype = (
+                        np.lib.format.read_array_header_2_0(member)
+                    )
+                else:  # pragma: no cover - numpy only writes 1.0/2.0
+                    raise StoreError(
+                        f"unsupported npy header version {version} "
+                        f"in member {info.filename!r}"
+                    )
+                header_len = member.tell()
+            if int(np.prod(shape)) == 0 or shape == ():
+                # mmap cannot express zero-length (or 0-d) windows; these
+                # arrays are bytes-sized, so a plain read loses nothing.
+                with zf.open(info) as member:
+                    out[name] = np.lib.format.read_array(member)
+                continue
+            # Absolute data offset: zip local file header (30 bytes +
+            # name + extra) then the npy header we just parsed.
+            with open(path, "rb") as fh:
+                fh.seek(info.header_offset)
+                lh = fh.read(30)
+            if lh[:4] != b"PK\x03\x04":
+                raise StoreError(
+                    f"corrupt zip local header for {info.filename!r}"
+                )
+            name_len, extra_len = struct.unpack("<HH", lh[26:30])
+            data_offset = (
+                info.header_offset + 30 + name_len + extra_len + header_len
+            )
+            out[name] = np.memmap(
+                path,
+                dtype=dtype,
+                mode="r",
+                offset=data_offset,
+                shape=shape,
+                order="F" if fortran else "C",
+            )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Segment records
+# ---------------------------------------------------------------------------
 
 
 def _edge_key(u: int, v: int) -> int:
@@ -216,6 +417,20 @@ class SegmentWriter:
             self._seg.close()
 
 
+def write_index(index, path: PathLike) -> SegmentWriter:
+    """Write a resident :class:`~repro.core.index.SIEFIndex` to a store.
+
+    What ``sief freeze`` does: freezes the index, writes its labeling and
+    every case in canonical order, and returns the finalized writer
+    (``path``, ``num_cases``, ``total_entries``, ``bytes_written``).
+    """
+    index.freeze()
+    with SegmentWriter(path, index.labeling) as writer:
+        for edge, si in index.iter_cases():
+            writer.append_case(edge, si)
+    return writer
+
+
 # ---------------------------------------------------------------------------
 # Store
 # ---------------------------------------------------------------------------
@@ -230,7 +445,7 @@ class SegmentStore:
     """Read side of a ``.siefseg`` directory: mmap'd, validated access.
 
     ``load_case`` decodes one record into a
-    :class:`~repro.core.npzstore.MappedSupplement` whose arrays are
+    :class:`MappedSupplement` whose arrays are
     zero-copy views of the segment mmap; nothing beyond the touched
     pages ever becomes resident.
     """
@@ -290,16 +505,11 @@ class SegmentStore:
 
     # -- labeling -----------------------------------------------------------
 
-    def labeling(self, mmap: bool = True) -> Labeling:
-        """The frozen original labeling (mmap'd by default, cached)."""
+    def labeling(self) -> Labeling:
+        """The frozen original labeling (mmap'd, cached)."""
         if self._labeling is None:
-            path = self.path / LABELING_FILE
             try:
-                if mmap:
-                    arrays = _memmap_npz(path, "r")
-                else:
-                    with np.load(str(path)) as doc:
-                        arrays = {k: doc[k] for k in doc.files}
+                arrays = _memmap_npz(self.path / LABELING_FILE)
             except Exception as exc:
                 raise StoreError(
                     f"unreadable labeling in {self.path}: {exc}"
@@ -513,7 +723,6 @@ def build_sief_sharded(
                         algorithm,
                         workers=jobs,
                         edges=shard,
-                        shared_memory=True,
                     )
                 resident = shard_index.num_cases
                 max_resident = max(max_resident, resident)

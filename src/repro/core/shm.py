@@ -1,10 +1,11 @@
 """Zero-copy publication of build inputs over POSIX shared memory.
 
-The legacy parallel build ships the graph and labeling to every worker by
-pickling them into the pool initializer — ``O(workers × index size)``
-serialization that dwarfs small builds and doubles peak memory on large
-ones.  This module replaces that with one named
-:class:`multiprocessing.shared_memory.SharedMemory` segment:
+Every pool of the parallel build (:mod:`repro.core.parallel`) receives
+its read-only inputs through one named
+:class:`multiprocessing.shared_memory.SharedMemory` segment rather than
+by pickling the graph and labeling into each worker — an
+``O(workers × index size)`` cost that would dwarf small builds and
+double peak memory on large ones:
 
 * the parent packs the six numpy arrays that fully describe the build
   inputs — CSR ``indptr``/``indices``, frozen labeling

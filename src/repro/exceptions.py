@@ -79,7 +79,7 @@ class DatasetError(ReproError):
 class KernelTierError(ReproError):
     """An explicitly requested kernel tier is unknown or unavailable.
 
-    Raised only for *explicit* selections (``SIEF_KERNELS=numba``,
-    ``sief --kernels numba``) — the ``auto`` tier never raises, it falls
-    through to the next available backend and ultimately pure numpy.
+    Raised only for *explicit* selections (``SIEF_KERNELS=cext``,
+    ``sief --kernels cext``) — the ``auto`` tier never raises, it falls
+    through to pure numpy.
     """

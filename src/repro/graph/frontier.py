@@ -34,7 +34,7 @@ bit-identical to the scalar BFS (asserted by the parity suites in
 ``tests/test_frontier_kernels.py``).
 
 Both BFS entry points dispatch through :mod:`repro.kernels`: when an
-accelerated tier (numba or the self-compiled C extension) is available
+accelerated tier (the self-compiled C extension) is available
 and selected, the level loop runs compiled and the numpy bodies below
 become the always-available fallback.  The compiled kernels are
 bit-identical by contract — same distances, same settlement counts —

@@ -5,12 +5,9 @@ essentially all the time in four tight loops: single-source CSR BFS
 (IDENTIFY), the 64-lane bit-parallel sweep, the RELABEL direction pass
 (sweep + late redundancy filter — the filter dominates), and the
 hub-join of :func:`repro.labeling.query.batch_dist_query`.  This package
-provides compiled implementations of those kernels in two optional
-backends and routes callers to the fastest one available:
+provides a compiled implementation of those kernels and routes callers
+to it when it is available:
 
-``numba``
-    ``@njit`` ports (:mod:`repro.kernels.numba_backend`), used when the
-    optional dependency is installed (``pip install .[accel]``).
 ``cext``
     The same kernels in C (``_csrc/siefkernels.c``), compiled on demand
     with the system C compiler and bound via ctypes
@@ -27,14 +24,15 @@ adapters (``sief-batch-kernels``, ``sief-kernels-build``) and the parity
 suites in ``tests/test_kernel_parity.py`` enforce this, so a tier switch
 can never change an answer, only its speed.
 
-**Selection.**  ``auto`` (the default) prefers ``numba`` > ``cext`` >
-``numpy``; an explicit tier that is unavailable raises
-:class:`~repro.exceptions.KernelTierError` instead of silently degrading.
+**Selection.**  ``auto`` (the default) picks ``cext``, or ``numpy`` when
+the C backend is unavailable; an explicit tier that is unavailable
+raises :class:`~repro.exceptions.KernelTierError` instead of silently
+degrading.
 Precedence: :func:`set_tier` (the CLI's ``--kernels``) beats the
 ``SIEF_KERNELS`` environment variable beats ``auto``.  ``set_tier`` also
 exports ``SIEF_KERNELS`` so forked/spawned build workers inherit the
 choice.  Probing is lazy — importing this package never compiles
-anything and never imports numba.
+anything.
 """
 
 from __future__ import annotations
@@ -48,14 +46,9 @@ import numpy as np
 from repro.exceptions import KernelTierError
 
 KERNEL_NAMES = ("bfs", "bitparallel", "relabel", "hub_join", "pll")
-"""The dispatched kernels, in the order capability reports list them.
+"""The dispatched kernels, in the order capability reports list them."""
 
-A backend need not implement every kernel (``pll`` currently exists only
-in the C backend): missing names resolve to ``("numpy", None)`` — the
-caller's reference implementation — while the rest of the set stays on
-the accelerated tier."""
-
-TIERS = ("numba", "cext", "numpy")
+TIERS = ("cext", "numpy")
 """Known tiers, in ``auto``'s preference order (fastest first)."""
 
 CHOICES = ("auto",) + TIERS
@@ -72,18 +65,6 @@ RELABEL_DTYPES = frozenset((np.dtype(np.int32),))
 
 _requested: Optional[str] = None
 _resolution: Dict[str, Dict[str, Tuple[str, Optional[Callable]]]] = {}
-
-
-def _backend(tier: str):
-    if tier == "numba":
-        from repro.kernels import numba_backend
-
-        return numba_backend
-    if tier == "cext":
-        from repro.kernels import cext_backend
-
-        return cext_backend
-    raise KernelTierError(f"no backend module for tier {tier!r}")
 
 
 def requested_tier() -> str:
@@ -137,34 +118,22 @@ def use_tier(tier: Optional[str]) -> Iterator[None]:
 
 
 def _resolve_all(req: str) -> Dict[str, Tuple[str, Optional[Callable]]]:
-    if req == "numpy":
-        return {name: ("numpy", None) for name in KERNEL_NAMES}
-    if req in ("numba", "cext"):
-        backend = _backend(req)
-        info = backend.probe()
-        if not info.get("available"):
+    if req != "numpy":
+        from repro.kernels import cext_backend
+
+        info = cext_backend.probe()
+        if info.get("available"):
+            return {
+                name: ("cext", cext_backend.KERNELS[name])
+                for name in KERNEL_NAMES
+            }
+        if req == "cext":
             raise KernelTierError(
                 f"kernel tier {req!r} was requested but is unavailable: "
                 f"{info.get('error', 'unknown reason')}"
             )
-        return _backend_table(req, backend)
-    # auto: first available accelerated backend, else pure numpy
-    for tier in TIERS[:-1]:
-        backend = _backend(tier)
-        if backend.probe().get("available"):
-            return _backend_table(tier, backend)
+    # numpy, or auto without a working C backend
     return {name: ("numpy", None) for name in KERNEL_NAMES}
-
-
-def _backend_table(
-    tier: str, backend
-) -> Dict[str, Tuple[str, Optional[Callable]]]:
-    """Per-kernel routing for one backend, numpy-filling missing names."""
-    table: Dict[str, Tuple[str, Optional[Callable]]] = {}
-    for name in KERNEL_NAMES:
-        fn = backend.KERNELS.get(name)
-        table[name] = (tier, fn) if fn is not None else ("numpy", None)
-    return table
 
 
 def resolve(name: str) -> Tuple[str, Optional[Callable]]:
@@ -192,11 +161,9 @@ def reset() -> None:
     global _requested
     _requested = None
     _resolution.clear()
-    for tier in ("numba", "cext"):
-        try:
-            _backend(tier).reset()
-        except KernelTierError:  # pragma: no cover
-            pass
+    from repro.kernels import cext_backend
+
+    cext_backend.reset()
 
 
 def capability_report() -> Dict[str, Any]:
@@ -206,7 +173,7 @@ def capability_report() -> Dict[str, Any]:
     kernels resolve to), ``backends`` (per-backend probe details —
     versions, compiler, errors), ``kernels`` (kernel name → tier).
     """
-    from repro.kernels import cext_backend, numba_backend
+    from repro.kernels import cext_backend
 
     try:
         requested = requested_tier()
@@ -221,7 +188,6 @@ def capability_report() -> Dict[str, Any]:
     report: Dict[str, Any] = {
         "requested": requested,
         "backends": {
-            "numba": numba_backend.probe(),
             "cext": cext_backend.probe(),
             "numpy": {"available": True, "numpy_version": np.__version__},
         },

@@ -12,11 +12,7 @@ Everything crosses the boundary as raw typed pointers — no ``Python.h``
 dependency, so the backend works with any CPython the container ships.
 When no compiler is present (or ``SIEF_KERNELS_CC`` is set to ``none``)
 :func:`probe` reports unavailability and the dispatcher falls through to
-the next tier; nothing in this module raises at import time.
-
-The Python wrappers here implement the *same* callable contract as
-:mod:`repro.kernels.numba_backend` — see :mod:`repro.kernels` for the
-signatures — so the dispatcher treats backends interchangeably.
+the numpy tier; nothing in this module raises at import time.
 """
 
 from __future__ import annotations

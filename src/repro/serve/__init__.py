@@ -1,8 +1,8 @@
 """``repro.serve`` — the asyncio distance-query serving layer.
 
-A long-lived daemon (``sief serve``) that loads a frozen
-:class:`~repro.core.index.SIEFIndex` (memory-mapped npz, so N worker
-processes share one physical copy), answers failure distance queries
+A long-lived daemon (``sief serve``) that serves a ``.siefseg`` segment
+store demand-paged through :class:`~repro.core.lazy.PagedSIEFIndex`
+(memory-mapped, so N worker processes share one physical copy), answers failure distance queries
 over HTTP/JSON plus a length-prefixed binary batch endpoint, and
 coalesces concurrent in-flight requests into the vectorized
 :meth:`~repro.core.query.SIEFQueryEngine.batch_query` path through a

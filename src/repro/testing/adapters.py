@@ -160,8 +160,8 @@ class WorldContext:
         """Batched SIEF index built on the accelerated kernel tier.
 
         Builds the *same* batched index twice — once with kernels forced
-        to pure numpy, once under ``auto`` (numba or the C extension
-        when available) — and asserts the two are bit-identical: same
+        to pure numpy, once under ``auto`` (the C extension when
+        available) — and asserts the two are bit-identical: same
         failure cases, same supplemental ``(rank, dist)`` streams, and
         (unlike the batched-vs-scalar check, where it legitimately
         differs) the same ``search_expanded`` settlement counts.  Any
@@ -589,17 +589,19 @@ class KernelTierBuildAdapter(EngineAdapter):
 class _ServeWorld:
     """One live in-process server tied to a WorldContext's lifetime.
 
-    The index is round-tripped through the frozen npz store and loaded
-    back memory-mapped before serving, so every fuzzed instance also
-    covers the save → mmap-load path the real daemon uses.
+    The index is written to a ``.siefseg`` segment store and served
+    demand-paged through :class:`~repro.core.lazy.PagedSIEFIndex`, so
+    every fuzzed instance also covers the write → page-in path the real
+    daemon uses.
     """
 
     def __init__(self, ctx: "WorldContext") -> None:
         import os
         import tempfile
 
-        from repro.core.index import SIEFIndex
+        from repro.core.lazy import PagedSIEFIndex
         from repro.core.query import SIEFQueryEngine
+        from repro.core.segstore import SegmentStore, write_index
         from repro.serve.client import ServeClient
         from repro.serve.inprocess import InProcessServer
         from repro.serve.server import ServeConfig
@@ -607,9 +609,13 @@ class _ServeWorld:
         from repro.obs.events import EventLog
 
         self.tmp = tempfile.TemporaryDirectory(prefix="sief-serve-fuzz-")
-        path = os.path.join(self.tmp.name, "index.npz")
-        ctx.sief_index().freeze().save_npz(path)
-        self.engine = SIEFQueryEngine(SIEFIndex.load(path, mmap_mode="r"))
+        path = os.path.join(self.tmp.name, "index.siefseg")
+        write_index(ctx.sief_index(), path)
+        self.engine = SIEFQueryEngine(
+            PagedSIEFIndex(
+                SegmentStore(path), capacity=PagedSIEFIndex.DEFAULT_CAPACITY
+            )
+        )
         # Tight flush deadline: the adapter's requests are serial, so
         # every batch flushes on deadline — keep the fuzz loop fast.
         # Tracing runs at full sample so the adapter can assert the
@@ -632,9 +638,9 @@ class _ServeWorld:
 class ServeConformanceAdapter(EngineAdapter):
     """Queries routed through a live in-process HTTP server.
 
-    Per context, freezes the SIEF index to an npz store, loads it back
-    memory-mapped, and serves it over a real socket on an ephemeral
-    port.  Each case is answered three ways — JSON ``/batch``, binary
+    Per context, writes the SIEF index to a segment store, pages it back
+    in through :class:`~repro.core.lazy.PagedSIEFIndex`, and serves it
+    over a real socket on an ephemeral port.  Each case is answered three ways — JSON ``/batch``, binary
     ``/batch.bin``, and the in-memory engine — and the three must be
     bit-identical before the answers go to the ground-truth comparison.
     The server keeps its own private metrics registry, so the global
@@ -915,10 +921,10 @@ ADAPTERS: Dict[str, EngineAdapter] = {
         NodeFailureAdapter(),
         DualFailureAdapter(),
         # The serving layer: queries answered by a live in-process HTTP
-        # server over an npz-mmap round-trip of the index (ISSUE 7).
+        # server demand-paging a segment-store copy of the index.
         ServeConformanceAdapter(),
-        # Kernel-tier differential adapters: the accelerated (numba /
-        # C-extension) kernels must answer and build bit-identically to
+        # Kernel-tier differential adapters: the accelerated
+        # (C-extension) kernels must answer and build bit-identically to
         # the pure-numpy tier on every fuzzed instance (ISSUE 6).
         KernelTierBatchAdapter(),
         KernelTierBuildAdapter(),

@@ -266,6 +266,14 @@ class TestOutOfCore:
             SIEFIndex.load(index_file)
         )
 
+    def test_serve_rejects_non_segment_store(self, tmp_path, capsys):
+        index_file = tmp_path / "foo.sief"
+        index_file.write_bytes(b"never opened")
+        assert main(["serve", str(index_file)]) == 2
+        captured = capsys.readouterr()
+        assert "sief freeze" in captured.err
+        assert "serving on" not in captured.out
+
 
 def test_error_reported_as_exit_code_2(tmp_path, capsys):
     missing = tmp_path / "missing.sief"

@@ -10,8 +10,8 @@ additionally check that observability — metric counters and profiler
 span attribution — stays identical when a compiled kernel takes over a
 hot path.
 
-The whole module skips when no accelerated backend is available (no
-numba, no C compiler): there is then nothing to compare.
+The whole module skips when the C backend is unavailable (no C
+compiler): there is then nothing to compare.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 Covers the dispatcher in :mod:`repro.kernels`: precedence of
 ``set_tier`` (the CLI's ``--kernels``) over ``SIEF_KERNELS`` over
 ``auto``, hard errors for explicitly-requested unavailable tiers, the
-forced pure-numpy fallback when no accelerated backend exists (checked
-in a subprocess with numba imports blocked and the C compiler opted
-out), the on-demand compile cache of the C backend, and the ``sief
-kernels`` capability report surfaced into bench-history metadata.
+forced pure-numpy fallback when the C backend is unavailable (checked
+in a subprocess with the C compiler opted out), the on-demand compile
+cache of the C backend, and the ``sief kernels`` capability report
+surfaced into bench-history metadata.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 from repro import kernels
 from repro.cli import main
 from repro.exceptions import KernelTierError
-from repro.kernels import cext_backend, numba_backend
+from repro.kernels import cext_backend
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -36,13 +36,6 @@ def _clean_tier_state(monkeypatch):
     yield
     kernels.set_tier(None)
     kernels._resolution.clear()
-
-
-def _accelerated_available() -> bool:
-    return (
-        numba_backend.probe().get("available")
-        or cext_backend.probe().get("available")
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +110,13 @@ def test_use_tier_restores_unset_env(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_explicit_unavailable_tier_raises():
-    unavailable = [
-        tier
-        for tier, backend in (
-            ("numba", numba_backend),
-            ("cext", cext_backend),
-        )
-        if not backend.probe().get("available")
-    ]
-    if not unavailable:
-        pytest.skip("every accelerated backend is available on this host")
-    kernels.set_tier(unavailable[0])
+def test_explicit_unavailable_tier_raises(monkeypatch):
+    monkeypatch.setattr(
+        cext_backend,
+        "probe",
+        lambda: {"available": False, "error": "no C compiler"},
+    )
+    kernels.set_tier("cext")
     with pytest.raises(KernelTierError, match="unavailable"):
         kernels.resolve("bfs")
 
@@ -136,8 +124,8 @@ def test_explicit_unavailable_tier_raises():
 def test_auto_never_raises_and_prefers_accelerated():
     kernels.set_tier("auto")
     tier, fn = kernels.resolve("relabel")
-    if _accelerated_available():
-        assert tier in ("numba", "cext")
+    if cext_backend.probe().get("available"):
+        assert tier == "cext"
         assert callable(fn)
     else:
         assert tier == "numpy"
@@ -145,35 +133,20 @@ def test_auto_never_raises_and_prefers_accelerated():
 
 
 def test_resolution_is_consistent_across_kernels():
-    # One tier serves the whole kernel set, except for kernels the
-    # selected backend doesn't implement (e.g. numba has no pll port),
-    # which fall through to the numpy reference per kernel.
+    # One tier serves the whole kernel set.
     tiers = {kernels.resolve(name)[0] for name in kernels.KERNEL_NAMES}
-    assert tiers <= {kernels.effective_tier(), "numpy"}
+    assert tiers == {kernels.effective_tier()}
 
 
-def test_forced_fallback_without_numba_or_compiler():
-    """Subprocess with numba imports blocked and the C compiler opted out.
+def test_forced_fallback_without_compiler():
+    """Subprocess with the C compiler opted out.
 
     This is the clean-fallback acceptance check: with no accelerated
     backend reachable, ``auto`` must resolve to pure numpy without
-    raising and without ever importing numba.
+    raising.
     """
     code = textwrap.dedent(
         """
-        import sys
-
-        class _BlockNumba:
-            def find_module(self, name, path=None):  # pragma: no cover
-                return None
-
-            def find_spec(self, name, path=None, target=None):
-                if name == "numba" or name.startswith("numba."):
-                    raise ImportError("numba blocked for fallback test")
-                return None
-
-        sys.meta_path.insert(0, _BlockNumba())
-
         from repro import kernels
 
         assert kernels.requested_tier() == "auto"
@@ -183,9 +156,7 @@ def test_forced_fallback_without_numba_or_compiler():
             assert tier == "numpy" and fn is None, (name, tier)
         report = kernels.capability_report()
         assert report["effective"] == "numpy"
-        assert report["backends"]["numba"]["available"] is False
         assert report["backends"]["cext"]["available"] is False
-        assert "numba" not in sys.modules
         print("fallback-ok")
         """
     )
@@ -218,7 +189,7 @@ def test_cc_env_none_disables_cext(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# compile cache (cext) and warm-up (numba)
+# compile cache (cext)
 # ---------------------------------------------------------------------------
 
 
@@ -241,12 +212,6 @@ def test_cext_compile_cache_round_trip(tmp_path, monkeypatch):
         cext_backend.reset()
 
 
-def test_numba_warmup_compiles_every_kernel():
-    if not numba_backend.probe().get("available"):
-        pytest.skip("numba not installed")
-    numba_backend.warmup()  # must not raise; compiles all four kernels
-
-
 # ---------------------------------------------------------------------------
 # capability report and CLI
 # ---------------------------------------------------------------------------
@@ -258,8 +223,7 @@ def test_capability_report_shape():
     assert report["effective"] in kernels.TIERS
     assert set(report["kernels"]) == set(kernels.KERNEL_NAMES)
     assert report["backends"]["numpy"]["available"] is True
-    for name in ("numba", "cext"):
-        assert "available" in report["backends"][name]
+    assert "available" in report["backends"]["cext"]
 
 
 def test_capability_report_with_invalid_env(monkeypatch):

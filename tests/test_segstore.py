@@ -1,32 +1,73 @@
-"""Segment-store round-trip and corruption coverage (ISSUE 9).
+"""Segment-store round-trip, zero-copy mapping and corruption coverage.
 
-The out-of-core store must (a) rebuild an index bit-identical to the
-in-RAM build and (b) refuse — with a clear :class:`StoreError` — to
-answer from a store whose TOC and segment file disagree.  A corrupt
-store must never produce a wrong distance; it must raise.
+The ``.siefseg`` store is the one frozen and served index format.  It
+must (a) rebuild an index bit-identical to the in-RAM build, (b) map the
+label and supplement arrays straight out of its files — read-only,
+shared by every reader through the page cache — and (c) refuse, with a
+clear :class:`StoreError`, to answer from a store whose TOC and segment
+file disagree.  A corrupt store must never produce a wrong distance; it
+must raise.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.builder import build_sief
+from repro.core.builder import SIEFBuilder, build_sief
 from repro.core.index import SIEFIndex
+from repro.core.lazy import PagedSIEFIndex
+from repro.core.query import SIEFQueryEngine
 from repro.core.segstore import (
+    LABELING_FILE,
     SEGMENTS_FILE,
     TOC_FILE,
     SegmentStore,
     SegmentWriter,
     build_sief_sharded,
+    write_index,
 )
-from repro.core.serialize import index_to_bytes
-from repro.exceptions import FailureCaseNotIndexed, StoreError
+from repro.core.serialize import index_to_bytes, save_index
+from repro.exceptions import (
+    FailureCaseNotIndexed,
+    SerializationError,
+    StoreError,
+)
 from repro.graph import generators
 from repro.labeling.pll import build_pll
 from repro.order.strategies import by_degree
+
+
+def in_ram_index(graph) -> SIEFIndex:
+    index, _report = SIEFBuilder(graph).build()
+    return index.freeze()
+
+
+def memmap_root(arr):
+    """The np.memmap at the bottom of a view chain, or None."""
+    while isinstance(arr, np.ndarray):
+        if isinstance(arr, np.memmap):
+            return arr
+        arr = arr.base
+    return None
+
+
+def assert_same_answers(a, b, seed: int = 0, scalar: int = 0) -> None:
+    """Batch answers (and the first ``scalar`` pairs one by one) agree."""
+    ea, eb = SIEFQueryEngine(a), SIEFQueryEngine(b)
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, a.labeling.num_vertices, size=(60, 2))
+    for edge in sorted(a.supplements):
+        assert np.array_equal(
+            ea.batch_query(edge, pairs), eb.batch_query(edge, pairs)
+        )
+        for s, t in pairs[:scalar]:
+            x = ea.distance(int(s), int(t), edge)
+            y = eb.distance(int(s), int(t), edge)
+            assert x == y or (math.isinf(x) and math.isinf(y))
 
 
 @pytest.fixture
@@ -51,6 +92,49 @@ class TestRoundTrip:
         loaded = SIEFIndex.load(store_path)
         assert index_to_bytes(loaded) == index_to_bytes(reference)
 
+    def test_write_index_roundtrip_answers(self, graph, tmp_path):
+        index = in_ram_index(graph)
+        loaded = SegmentStore(write_index(index, tmp_path / "idx").path).to_index()
+        assert loaded.num_cases == index.num_cases
+        assert loaded.labeling.num_vertices == index.labeling.num_vertices
+        assert_same_answers(index, loaded)
+
+    def test_write_index_serialize_parity(self, graph, tmp_path):
+        """Reloading a store reproduces the legacy format byte-for-byte."""
+        index = in_ram_index(graph)
+        path = write_index(index, tmp_path / "idx").path
+        assert index_to_bytes(SegmentStore(path).to_index()) == index_to_bytes(index)
+        assert index_to_bytes(SIEFIndex.load(path)) == index_to_bytes(index)
+
+    def test_index_load_suffix_routing(self, graph, tmp_path):
+        index = in_ram_index(graph)
+        seg_path = write_index(index, tmp_path / "idx.siefseg").path
+        assert seg_path == tmp_path / "idx.siefseg"
+        assert_same_answers(index, SIEFIndex.load(seg_path))
+        save_index(index, tmp_path / "idx.sief")
+        assert_same_answers(index, SIEFIndex.load(tmp_path / "idx.sief"))
+        with pytest.raises(SerializationError):
+            SIEFIndex.load(seg_path / LABELING_FILE)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            generators.path_graph(2),
+            generators.star_graph(4),
+            generators.cycle_graph(5),
+            generators.compose_disjoint(
+                [generators.path_graph(3), generators.path_graph(2)]
+            ),
+        ],
+        ids=["path2", "star4", "cycle5", "disconnected"],
+    )
+    def test_small_shapes_roundtrip(self, tmp_path, shape):
+        index = in_ram_index(shape)
+        path = write_index(index, tmp_path / "idx").path
+        loaded = SegmentStore(path).to_index()
+        assert index_to_bytes(loaded) == index_to_bytes(index)
+        assert_same_answers(index, loaded, seed=3)
+
     def test_unknown_edge_raises_not_indexed(self, store_path):
         store = SegmentStore(store_path)
         with pytest.raises(FailureCaseNotIndexed):
@@ -69,6 +153,85 @@ class TestRoundTrip:
             writer.append_case(*cases[1])
             with pytest.raises(StoreError):
                 writer.append_case(*cases[0])
+
+
+class TestMapping:
+    """The zero-copy claim: N readers, one physical copy, no writes."""
+
+    @pytest.fixture
+    def mapped(self, tmp_path) -> SegmentStore:
+        index = in_ram_index(generators.erdos_renyi_gnm(30, 55, seed=11))
+        return SegmentStore(write_index(index, tmp_path / "idx").path)
+
+    @staticmethod
+    def largest_case(store: SegmentStore):
+        return max(
+            (si for _edge, si in store.iter_cases()),
+            key=lambda si: si.total_entries(),
+        )
+
+    def test_label_arrays_are_file_backed(self, mapped):
+        lab = mapped.labeling()
+        for arr in (lab.hubs_flat, lab.dists_flat, lab.offsets):
+            assert not arr.flags["OWNDATA"]
+            assert memmap_root(arr) is not None, "label array is not mapped"
+
+    def test_supplement_views_are_file_backed(self, mapped):
+        flat = self.largest_case(mapped).flat()
+        for arr in flat:
+            assert arr.size
+            assert not arr.flags["OWNDATA"]
+            assert memmap_root(arr) is not None, "supplement is not mapped"
+
+    def test_mapped_arrays_are_read_only(self, mapped):
+        with pytest.raises(ValueError):
+            mapped.labeling().hubs_flat[0] = 99
+        with pytest.raises(ValueError):
+            self.largest_case(mapped).flat().ranks[0] = 99
+
+    def test_two_stores_share_one_physical_copy(self, mapped):
+        other = SegmentStore(mapped.path)
+        for a, b in (
+            (mapped.labeling().hubs_flat, other.labeling().hubs_flat),
+            (
+                self.largest_case(mapped).flat().ranks,
+                self.largest_case(other).flat().ranks,
+            ),
+        ):
+            ra, rb = memmap_root(a), memmap_root(b)
+            assert ra is not None and rb is not None
+            # Same file, same offset: the kernel backs both with the same
+            # page-cache pages; nothing was copied into either heap.
+            assert ra.filename == rb.filename
+            assert ra.offset == rb.offset
+        assert_same_answers(mapped.to_index(), other.to_index())
+
+    @pytest.mark.parametrize("reader", ["resident", "paged"])
+    def test_answers_equal_in_ram_engine(self, tmp_path, reader):
+        index = in_ram_index(generators.watts_strogatz(26, 4, 0.2, seed=5))
+        store = SegmentStore(write_index(index, tmp_path / "idx").path)
+        if reader == "resident":
+            served = store.to_index()
+        else:
+            # Capacity below the case count: answers survive eviction.
+            served = PagedSIEFIndex(store, capacity=4)
+        assert_same_answers(index, served, seed=2, scalar=8)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [("compressed", "compressed"), ("garbage", "unreadable labeling")],
+        ids=["compressed", "garbage"],
+    )
+    def test_unmappable_labeling_raises_store_error(
+        self, mapped, damage, message
+    ):
+        path = mapped.path / LABELING_FILE
+        if damage == "compressed":
+            np.savez_compressed(path, **dict(np.load(path)))
+        else:
+            path.write_bytes(b"definitely not a zip archive")
+        with pytest.raises(StoreError, match=message):
+            SegmentStore(mapped.path).labeling()
 
 
 def _retoc(path: Path, **overrides) -> None:

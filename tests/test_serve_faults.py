@@ -27,12 +27,17 @@ import pytest
 
 from repro.core.builder import SIEFBuilder
 from repro.core.query import SIEFQueryEngine
+from repro.core.segstore import write_index
 from repro.graph import generators
 from repro.serve.batcher import LoadShedError, MicroBatcher
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.inprocess import InProcessServer
 from repro.serve.protocol import BINARY_MAGIC, encode_batch_request
 from repro.serve.server import ServeConfig
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
 
 
 @pytest.fixture(scope="module")
@@ -437,10 +442,13 @@ def test_inprocess_drain_completes_inflight_request(engine, an_edge):
 
 
 def test_sigterm_graceful_drain_subprocess(engine, an_edge, tmp_path):
-    """The real daemon: SIGTERM mid-request -> request completes, exit 0."""
-    store = tmp_path / "idx.npz"
-    engine.index.save_npz(store)
-    env = dict(os.environ, PYTHONPATH="src")
+    """The real daemon: SIGTERM mid-request -> request completes, exit 0.
+
+    The daemon serves a ``.siefseg`` store written from the module's
+    index, demand-paged exactly as in production.
+    """
+    store = write_index(engine.index, tmp_path / "idx.siefseg").path
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -459,7 +467,6 @@ def test_sigterm_graceful_drain_subprocess(engine, an_edge, tmp_path):
         stderr=subprocess.DEVNULL,
         text=True,
         env=env,
-        cwd="/root/repo",
     )
     try:
         line = proc.stdout.readline().strip()

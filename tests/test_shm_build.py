@@ -2,8 +2,8 @@
 
 The invariants under test:
 
-* shm-transport builds are bit-identical to pickle-transport and serial
-  builds, for both scalar and batched relabel algorithms;
+* shm-transport pool builds are bit-identical to serial builds, for
+  both scalar and batched relabel algorithms;
 * no ``/dev/shm`` segment survives a build — on success, on a worker
   exception, or on ``SIGINT`` delivered mid-build (the last via a real
   subprocess harness, since signal delivery into a live pool cannot be
@@ -105,36 +105,21 @@ class TestArena:
 
 
 @pytest.mark.parametrize("algorithm", ["bfs_all", "batched"])
-def test_shm_pickle_serial_bit_identical(algorithm):
+def test_shm_serial_bit_identical(algorithm):
     g = barabasi_albert(150, 3, seed=4)
     edges = sorted(g.edges())[:30]
     before = list_segments()
     serial, _ = SIEFBuilder(g, build_pll(g), "bfs_all").build(edges=edges)
     shm, _ = build_sief_parallel(
-        g,
-        build_pll(g),
-        algorithm=algorithm,
-        workers=2,
-        edges=edges,
-        shared_memory=True,
+        g, build_pll(g), algorithm=algorithm, workers=2, edges=edges
     )
-    pickled, _ = build_sief_parallel(
-        g,
-        build_pll(g),
-        algorithm=algorithm,
-        workers=2,
-        edges=edges,
-        shared_memory=False,
-    )
-    assert set(serial.supplements) == set(shm.supplements) == set(
-        pickled.supplements
-    )
+    assert set(serial.supplements) == set(shm.supplements)
     for edge, si in serial.supplements.items():
-        for other in (shm.supplements[edge], pickled.supplements[edge]):
-            assert si == other
-            for t, sl in si.labels.items():
-                assert sl.ranks == other.labels[t].ranks
-                assert sl.dists == other.labels[t].dists
+        other = shm.supplements[edge]
+        assert si == other
+        for t, sl in si.labels.items():
+            assert sl.ranks == other.labels[t].ranks
+            assert sl.dists == other.labels[t].dists
     _assert_no_new_segments(before)
 
 
@@ -146,11 +131,7 @@ def test_shm_metrics_flow_to_parent():
     recorder = TraceRecorder(capacity=64)
     with installed(registry, recorder):
         build_sief_parallel(
-            g,
-            build_pll(g),
-            workers=2,
-            edges=sorted(g.edges())[:8],
-            shared_memory=True,
+            g, build_pll(g), workers=2, edges=sorted(g.edges())[:8]
         )
     counters = registry.snapshot()["counters"]
     assert counters.get("sief.shm.segments_published") == 1
@@ -169,9 +150,7 @@ def test_no_leak_when_worker_raises(monkeypatch):
     # Fork workers inherit the patched module state, so every chunk dies.
     monkeypatch.setattr(parallel_mod, "build_one_case", boom)
     with pytest.raises(RuntimeError, match="injected worker failure"):
-        build_sief_parallel(
-            g, labeling, workers=2, shared_memory=True
-        )
+        build_sief_parallel(g, labeling, workers=2)
     _assert_no_new_segments(before)
 
 
@@ -184,8 +163,7 @@ from repro.core.parallel import build_sief_parallel
 
 g = barabasi_albert(400, 2, seed=11)
 labeling = build_pll(g)
-build_sief_parallel(g, labeling, algorithm="bfs_all", workers=2,
-                    shared_memory=True)
+build_sief_parallel(g, labeling, algorithm="bfs_all", workers=2)
 print("BUILD-FINISHED", flush=True)
 """
 
