@@ -74,7 +74,7 @@ def main() -> None:
     elapsed = time.perf_counter() - t_start
     print(
         f"\ntimeline done: {checked} failure queries verified against BFS, "
-        f"{lazy.cases_built} supplements currently cached, "
+        f"{lazy.cache.resident_cases} supplements currently cached, "
         f"{elapsed:.1f} s total"
     )
     print(f"final network: {graph}")

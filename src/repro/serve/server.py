@@ -791,9 +791,16 @@ async def run_server(
         ready(server.host, server.port)
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
+    installed = []
     for sig in (signal.SIGTERM, signal.SIGINT):
         try:
             loop.add_signal_handler(sig, stop.set)
         except (NotImplementedError, RuntimeError):  # non-Unix / nested loop
-            pass
-    await server.serve_until(stop)
+            continue
+        installed.append(sig)
+    try:
+        await server.serve_until(stop)
+    finally:
+        # Also unsets the wakeup fd that loop.close() would leave dangling.
+        for sig in installed:
+            loop.remove_signal_handler(sig)

@@ -159,14 +159,14 @@ class TestLazyBatched:
                 assert lazy_b.distance(s, t, edge) == lazy_s.distance(
                     s, t, edge
                 )
-        assert lazy_b.cases_built == lazy_s.cases_built
+        assert lazy_b.cache.resident_cases == lazy_s.cache.resident_cases
 
     def test_mutation_invalidates_csr_snapshot(self):
         g = erdos_renyi_gnm(20, 40, seed=6)
         lazy = LazySIEFIndex(g.copy(), build_pll(g), algorithm="batched")
         edge = sorted(lazy.graph.edges())[0]
         lazy.distance(0, 19, edge)
-        assert lazy._csr_cache is not None
+        assert lazy._source._csr is not None
         # Insertion must drop the snapshot (the CSR no longer matches).
         a, b = next(
             (a, b)
@@ -175,7 +175,7 @@ class TestLazyBatched:
             if a != b and not lazy.graph.has_edge(a, b)
         )
         lazy.insert_edge(a, b)
-        assert lazy._csr_cache is None
+        assert lazy._source._csr is None
         edge2 = sorted(lazy.graph.edges())[1]
         d = lazy.distance(1, 18, edge2)
         # Cross-check against a fresh scalar lazy index on the same graph.
@@ -187,4 +187,4 @@ class TestLazyBatched:
         lazy.distance(0, 19, sorted(lazy.graph.edges())[0])
         u, v = sorted(lazy.graph.edges())[-1]
         lazy.commit_failure(u, v)
-        assert lazy._csr_cache is None
+        assert lazy._source._csr is None

@@ -24,15 +24,15 @@ def lazy():
 
 class TestLaziness:
     def test_no_cases_up_front(self, lazy):
-        assert lazy.cases_built == 0
+        assert lazy.cache.resident_cases == 0
 
     def test_case_built_on_first_query(self, lazy):
         edge = next(iter(lazy.graph.edges()))
         lazy.distance(0, 5, edge)
-        assert lazy.cases_built == 1
+        assert lazy.cache.resident_cases == 1
         lazy.distance(1, 6, edge)
-        assert lazy.cases_built == 1
-        assert lazy.cache_hits == 1
+        assert lazy.cache.resident_cases == 1
+        assert lazy.cache.hits == 1
 
     def test_answers_match_bfs(self, lazy):
         g = lazy.graph
@@ -61,7 +61,7 @@ class TestMutation:
         g = lazy.graph
         edge = next(iter(g.edges()))
         lazy.distance(0, 9, edge)
-        assert lazy.cases_built == 1
+        assert lazy.cache.resident_cases == 1
         new = next(
             (u, v)
             for u in range(18)
@@ -69,7 +69,7 @@ class TestMutation:
             if not g.has_edge(u, v)
         )
         lazy.insert_edge(*new)
-        assert lazy.cases_built == 0  # cache invalidated
+        assert lazy.cache.resident_cases == 0  # cache invalidated
         # Every answer reflects the grown graph.
         for e in list(g.edges())[:5]:
             for s, t in [(0, 9), (3, 14), (2, 17)]:

@@ -1,14 +1,17 @@
-"""Cache-metric coverage for :class:`LazySIEFIndex` (obs satellite).
+"""Cache-metric coverage for :class:`LazySIEFIndex`.
 
-Covers the full cache lifecycle — first-query build (miss), repeat query
-(hit), ``insert_edge`` invalidation, ``commit_failure`` rebuild — and
+The hit/miss/eviction contract of the shared case cache lives in
+``tests/test_paged_index.py``; this file covers what only the lazy
+index does — ``insert_edge`` invalidation, ``commit_failure`` rebuild —
 replays the graph shapes archived in ``tests/corpus/`` (which include
 awkward fuzz-found topologies) plus an explicitly disconnected graph,
-asserting the counters track reality and the answers never depend on
-whether a registry is installed.
+asserts the answers never depend on whether a registry is installed,
+and checks that each cache series is exported exactly once.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
@@ -16,6 +19,7 @@ from repro.core.lazy import LazySIEFIndex
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.obs import hooks, installed
+from repro.obs.export import to_prometheus_text
 from repro.testing.corpus import iter_corpus
 
 CORPUS_DIR = "tests/corpus"
@@ -37,36 +41,6 @@ def _an_edge(graph):
 
 
 class TestCacheCounters:
-    def test_first_query_is_miss_then_hits(self):
-        graph = _graph()
-        edge = _an_edge(graph)
-        with installed() as reg:
-            lazy = LazySIEFIndex(graph)
-            lazy.distance(0, 5, edge)
-            assert reg.counter_value("sief.lazy.cache_misses") == 1
-            assert reg.counter_value("sief.lazy.cache_hits") == 0
-            lazy.distance(1, 6, edge)
-            lazy.distance(2, 7, edge)
-            assert reg.counter_value("sief.lazy.cache_misses") == 1
-            assert reg.counter_value("sief.lazy.cache_hits") == 2
-            assert reg.gauge("sief.lazy.cached_cases").value == 1
-        # Metrics agree with the index's own bookkeeping.
-        assert lazy.cases_built == 1
-        assert lazy.cache_hits == 2
-
-    def test_each_distinct_edge_is_its_own_miss(self):
-        graph = _graph()
-        edges = sorted(graph.edges())[:3]
-        with installed() as reg:
-            lazy = LazySIEFIndex(graph)
-            for e in edges:
-                lazy.distance(0, 9, e)
-            assert reg.counter_value("sief.lazy.cache_misses") == 3
-            assert reg.gauge("sief.lazy.cached_cases").value == 3
-            assert (
-                reg.counter_value("sief.build.cases") == 3
-            )  # lazy builds feed the shared build counters too
-
     def test_insert_edge_invalidates_cached_cases(self):
         graph = _graph()
         edges = sorted(graph.edges())[:2]
@@ -78,10 +52,12 @@ class TestCacheCounters:
             assert reg.counter_value("sief.lazy.insertions") == 1
             assert reg.counter_value("sief.lazy.invalidations") == 1
             assert reg.counter_value("sief.lazy.invalidated_cases") == 2
-            assert reg.gauge("sief.lazy.cached_cases").value == 0
+            assert reg.gauge("sief.lazy.cache.resident").value == 0
             # Next query on a previously cached edge must rebuild.
             lazy.distance(0, 9, edges[0])
-            assert reg.counter_value("sief.lazy.cache_misses") == 3
+            assert reg.counter_value("sief.lazy.cache.misses") == 3
+            # Every miss is a build, fed into the shared build counters.
+            assert reg.counter_value("sief.build.cases") == 3
 
     def test_commit_failure_counts_rebuild_and_drops(self):
         graph = _graph()
@@ -93,9 +69,9 @@ class TestCacheCounters:
             lazy.commit_failure(*edges[0])
             assert reg.counter_value("sief.lazy.rebuilds") == 1
             assert reg.counter_value("sief.lazy.invalidated_cases") == 2
-            assert reg.gauge("sief.lazy.cached_cases").value == 0
+            assert reg.gauge("sief.lazy.cache.resident").value == 0
         assert not lazy.graph.has_edge(*edges[0])
-        assert lazy.cases_built == 0
+        assert lazy.cache.resident_cases == 0
 
     def test_invalidation_with_empty_cache_counts_no_cases(self):
         graph = _graph()
@@ -156,8 +132,8 @@ class TestCorpusShapes:
                 first = lazy.distance(cx.s, cx.t, edge)
                 second = lazy.distance(cx.s, cx.t, edge)
             assert first == second == plain, f"answer drift on corpus {name}"
-            assert reg.counter_value("sief.lazy.cache_misses") == 1, name
-            assert reg.counter_value("sief.lazy.cache_hits") == 1, name
+            assert reg.counter_value("sief.lazy.cache.misses") == 1, name
+            assert reg.counter_value("sief.lazy.cache.hits") == 1, name
 
     def test_disconnected_graph_shape(self):
         # Disconnected worlds exercise the unreachable (inf) paths the
@@ -171,8 +147,8 @@ class TestCorpusShapes:
             same_side = lazy.distance(0, 4, edge)
             cross = lazy.distance(0, 6, edge)  # other component: inf
             assert cross == float("inf")
-            assert reg.counter_value("sief.lazy.cache_misses") == 1
-            assert reg.counter_value("sief.lazy.cache_hits") == 1
+            assert reg.counter_value("sief.lazy.cache.misses") == 1
+            assert reg.counter_value("sief.lazy.cache.hits") == 1
         with hooks.disabled():
             plain = LazySIEFIndex(
                 generators.compose_disjoint(
@@ -180,3 +156,26 @@ class TestCorpusShapes:
                 )
             ).distance(0, 4, edge)
         assert same_side == plain
+
+
+def test_prometheus_exports_each_cache_series_once():
+    graph = _graph()
+    edge = _an_edge(graph)
+    with installed() as reg:
+        lazy = LazySIEFIndex(graph)
+        lazy.distance(0, 5, edge)  # miss
+        lazy.distance(1, 6, edge)  # hit
+        text = to_prometheus_text(reg)
+    names = [
+        line.split()[0]
+        for line in text.splitlines()
+        if line and not line.startswith("#")
+    ]
+    cache = [n for n in names if n.startswith("sief_lazy_cache")]
+    assert sorted(cache) == [
+        "sief_lazy_cache_hits",
+        "sief_lazy_cache_misses",
+        "sief_lazy_cache_resident",
+    ]
+    # A hash suffix marks two registry names colliding on one series.
+    assert not [n for n in names if re.search(r"_[0-9a-f]{6}$", n)]

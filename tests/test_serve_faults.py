@@ -496,6 +496,30 @@ def test_sigterm_graceful_drain_subprocess(engine, an_edge, tmp_path):
             proc.kill()
 
 
+def test_run_server_removes_its_signal_handlers(engine):
+    """After ``run_server`` returns, no signal handler or wakeup fd is left.
+
+    ``loop.close()`` shuts the loop's self-pipe before it drops the
+    handlers, so a signal landing in between would be written to a
+    closed wakeup fd.
+    """
+    from repro.serve.server import run_server
+
+    async def main():
+        loop = asyncio.get_running_loop()
+
+        def ready(host, port):
+            # Runs once serve_until awaits, i.e. after the handlers exist.
+            loop.call_soon(os.kill, os.getpid(), signal.SIGTERM)
+
+        await run_server(engine, ServeConfig(), ready=ready)
+        return signal.set_wakeup_fd(-1), signal.getsignal(signal.SIGTERM)
+
+    wakeup_fd, handler = run(main())
+    assert wakeup_fd == -1
+    assert handler is signal.SIG_DFL
+
+
 def test_drain_rejects_new_queries_with_503(engine, an_edge):
     """After the batcher closes, an already-open connection gets 503."""
 
