@@ -13,16 +13,17 @@ import pytest
 
 from repro.bench.datasets import DATASET_ORDER, DATASETS
 from repro.bench.reporting import render_grouped_bars, render_table
-from repro.core.serialize import index_to_bytes
+from repro.core.segstore import write_index
 from repro.core.stats import sief_stats
 
 
 @pytest.mark.parametrize("name", DATASET_ORDER)
-def test_index_serialization(benchmark, context, name):
-    """Measured operation: serializing the full index to bytes."""
+def test_index_serialization(benchmark, context, name, tmp_path):
+    """Measured operation: writing the full index to a segment store."""
     index = context(name).index
-    blob = benchmark(index_to_bytes, index)
-    assert len(blob) > 0
+    writer = benchmark(write_index, index, tmp_path / "index.siefseg")
+    assert writer.num_cases == index.num_cases
+    assert writer.bytes_written > 0
 
 
 def test_print_figure6(benchmark, context, emit):

@@ -5,12 +5,18 @@ Installed as ``sief`` (see pyproject) and runnable as ``python -m repro``.
 Examples::
 
     sief generate --dataset gnutella -o gnutella.txt
-    sief build gnutella.txt -o gnutella.sief --algorithm bfs_all
-    sief query gnutella.sief --fail 3 17 --pair 0 42
-    sief path gnutella.txt gnutella.sief --fail 3 17 --pair 0 42
-    sief impact gnutella.txt gnutella.sief --top 10
-    sief stats gnutella.sief
+    sief build gnutella.txt -o gnutella.siefseg --algorithm bfs_all
+    sief query gnutella.siefseg --fail 3 17 --pair 0 42
+    sief path gnutella.txt gnutella.siefseg --fail 3 17 --pair 0 42
+    sief impact gnutella.txt gnutella.siefseg --top 10
+    sief stats gnutella.siefseg
+    sief verify gnutella.txt gnutella.siefseg
+    sief serve gnutella.siefseg
     sief validate gnutella.txt
+
+``sief build`` writes the ``.siefseg`` segment store
+(:mod:`repro.core.segstore`), the one on-disk index format; every
+command that reads an index opens that store.
 """
 
 from __future__ import annotations
@@ -59,8 +65,7 @@ def _resolve_algorithm(args: argparse.Namespace) -> str:
 def _cmd_build(args: argparse.Namespace) -> int:
     import contextlib
 
-    from repro.core.builder import SIEFBuilder
-    from repro.core.serialize import save_index
+    from repro.core.segstore import build_sief_sharded
     from repro.graph.io import read_edge_list
     from repro.labeling.pll import build_pll
     from repro.order.strategies import make_ordering
@@ -83,60 +88,38 @@ def _cmd_build(args: argparse.Namespace) -> int:
         hook_ctx = obs_hooks.installed(report_progress=prog)
     else:
         hook_ctx = contextlib.nullcontext()
-    if args.spill is not None:
-        from repro.core.segstore import build_sief_sharded
-
-        with hook_ctx:
-            store_path, sreport = build_sief_sharded(
-                graph,
-                args.spill,
-                labeling=labeling,
-                algorithm=algorithm,
-                shards=args.shards,
-                jobs=args.jobs,
-            )
-        if prog is not None:
-            prog.finish()
-        print(
-            f"SIEF out-of-core ({algorithm}, jobs={args.jobs}): "
-            f"{sreport.num_cases} failure cases in {sreport.num_shards} "
-            f"shards, {sreport.total_entries} supplemental entries, "
-            f"{sreport.spilled_bytes} segment bytes, peak "
-            f"{sreport.max_resident_cases} resident cases; "
-            f"built in {sreport.build_seconds:.2f}s"
-        )
-        print(f"segment store written to {store_path}")
-        return 0
     with hook_ctx:
-        if args.jobs > 1:
-            from repro.core.parallel import build_sief_parallel
-
-            index, report = build_sief_parallel(
-                graph, labeling, algorithm=algorithm, workers=args.jobs
-            )
-        else:
-            builder = SIEFBuilder(graph, labeling, algorithm=algorithm)
-            index, report = builder.build()
+        store_path, report = build_sief_sharded(
+            graph,
+            args.output,
+            labeling=labeling,
+            algorithm=algorithm,
+            shards=args.shards,
+            jobs=args.jobs,
+        )
     if prog is not None:
         prog.finish()
     print(
         f"SIEF ({algorithm}, jobs={args.jobs}): "
-        f"{index.num_cases} failure cases, "
-        f"{index.total_supplemental_entries()} supplemental entries; "
+        f"{report.num_cases} failure cases in {report.num_shards} shards, "
+        f"{report.total_entries} supplemental entries; "
         f"identify {report.identify_seconds:.2f}s, "
         f"relabel {report.relabel_seconds:.2f}s"
     )
-    save_index(index, args.output)
-    print(f"index written to {args.output}")
+    print(
+        f"index written to {store_path} "
+        f"({report.spilled_bytes} segment bytes, peak "
+        f"{report.max_resident_cases} resident cases)"
+    )
     return 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro.core.query import SIEFQueryEngine
-    from repro.core.serialize import load_index
+    from repro.core.index import SIEFIndex
     from repro.labeling.query import INF
 
-    index = load_index(args.index)
+    index = SIEFIndex.load(args.index)
     engine = SIEFQueryEngine(index)
     u, v = args.fail
     s, t = args.pair
@@ -148,12 +131,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_path(args: argparse.Namespace) -> int:
     from repro.core.query import SIEFQueryEngine
-    from repro.core.serialize import load_index
+    from repro.core.index import SIEFIndex
     from repro.graph.io import read_edge_list
     from repro.labeling.paths import failure_shortest_path
 
     graph, _names = read_edge_list(args.graph)
-    engine = SIEFQueryEngine(load_index(args.index))
+    engine = SIEFQueryEngine(SIEFIndex.load(args.index))
     u, v = args.fail
     s, t = args.pair
     path = failure_shortest_path(graph, engine, s, t, (u, v))
@@ -170,9 +153,9 @@ def _cmd_impact(args: argparse.Namespace) -> int:
         failure_impact_histogram,
         resilience_profile,
     )
-    from repro.core.serialize import load_index
+    from repro.core.index import SIEFIndex
 
-    index = load_index(args.index)
+    index = SIEFIndex.load(args.index)
     print(f"worst {args.top} failure cases by affected vertices:")
     for edge, impact in failure_impact_histogram(index, top=args.top):
         print(f"  edge {edge}: {impact} affected")
@@ -196,11 +179,11 @@ def _cmd_impact(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.core.serialize import load_index
+    from repro.core.index import SIEFIndex
     from repro.core.stats import sief_stats
     from repro.labeling.stats import labeling_stats
 
-    index = load_index(args.index)
+    index = SIEFIndex.load(args.index)
     original = labeling_stats(index.labeling)
     stats = sief_stats(index)
     print(f"vertices:               {stats.num_vertices}")
@@ -215,34 +198,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.core.serialize import load_index
-    from repro.core.verify import verify_index
-    from repro.graph.io import read_edge_list
-
-    graph, _names = read_edge_list(args.graph)
-    index = load_index(args.index)
-    problems = verify_index(
-        index, graph, sample_cases=args.sample, seed=args.seed
-    )
-    if problems:
-        for p in problems:
-            print(f"PROBLEM: {p}")
-        return 1
-    print(
-        f"ok: index consistent with graph "
-        f"({index.num_cases} cases, sampled {args.sample})"
-    )
-    return 0
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.core.serialize import load_index
+    from repro.core.index import SIEFIndex
     from repro.core.verify import VERIFY_LEVELS, verify_index
     from repro.graph.io import read_edge_list
 
     graph, _names = read_edge_list(args.graph)
-    index = load_index(args.index)
+    index = SIEFIndex.load(args.index)
     levels = args.level or list(VERIFY_LEVELS)
     problems = verify_index(
         index,
@@ -598,21 +560,6 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     return 0 if report.get("effective") else 2
 
 
-def _cmd_freeze(args: argparse.Namespace) -> int:
-    from repro.core.index import SIEFIndex
-    from repro.core.segstore import write_index
-
-    index = SIEFIndex.load(args.index)
-    writer = write_index(index, args.output)
-    print(
-        f"segment store written to {writer.path}: "
-        f"n={index.labeling.num_vertices}, cases={writer.num_cases}, "
-        f"supplemental_entries={writer.total_entries}, "
-        f"segment_bytes={writer.bytes_written}"
-    )
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import json as _json
@@ -633,8 +580,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if Path(args.index).suffix != STORE_SUFFIX:
         print(
             f"sief serve: {args.index} is not a {STORE_SUFFIX} segment "
-            f"store; convert it with `sief freeze {args.index} "
-            f"-o X{STORE_SUFFIX}`",
+            f"store; write one with `sief build GRAPH -o X{STORE_SUFFIX}`",
             file=sys.stderr,
         )
         return 2
@@ -805,7 +751,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     build = sub.add_parser("build", help="build a SIEF index from an edge list")
     build.add_argument("graph")
-    build.add_argument("--output", "-o", default="index.sief")
+    build.add_argument(
+        "--output",
+        "-o",
+        default="index.siefseg",
+        help="output segment store directory (.siefseg is appended if "
+        "missing)",
+    )
     build.add_argument(
         "--algorithm",
         choices=["bfs_aff", "bfs_all", "batched"],
@@ -818,18 +770,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="live cases/sec + ETA progress line on stderr",
     )
     build.add_argument(
-        "--spill",
-        metavar="STORE",
-        default=None,
-        help="out-of-core build: spill each finished shard's supplements "
-        "to a .siefseg segment store at this path (peak memory becomes "
-        "O(shard), not O(E)); --output is ignored",
-    )
-    build.add_argument(
         "--shards",
         type=int,
         default=None,
-        help="number of build shards for --spill "
+        help="number of build shards; each finished shard is spilled to "
+        "the store and dropped, so peak memory is O(shard), not O(E) "
         "(default: ~4096 cases per shard)",
     )
     _add_build_path_flags(build)
@@ -871,35 +816,13 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("index")
     stats.set_defaults(func=_cmd_stats)
 
-    check = sub.add_parser(
-        "check", help="verify a SIEF index against its graph"
-    )
-    check.add_argument("graph")
-    check.add_argument("index")
-    check.add_argument("--sample", type=int, default=25)
-    check.add_argument("--seed", type=int, default=0)
-    check.set_defaults(func=_cmd_check)
-
-    freeze = sub.add_parser(
-        "freeze",
-        help="convert an index to the mmap-able .siefseg segment store",
-    )
-    freeze.add_argument("index", help="a .sief (or .siefseg) index")
-    freeze.add_argument(
-        "--output",
-        "-o",
-        default="index.siefseg",
-        help="output store directory (.siefseg is appended if missing)",
-    )
-    freeze.set_defaults(func=_cmd_freeze)
-
     serve = sub.add_parser(
         "serve",
         help="serve distance queries over HTTP (see docs/serving.md)",
     )
     serve.add_argument(
         "index",
-        help="a .siefseg segment store (see `sief freeze`), served "
+        help="a .siefseg segment store (see `sief build`), served "
         "demand-paged",
     )
     serve.add_argument(

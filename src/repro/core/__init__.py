@@ -29,7 +29,6 @@ from repro.core.stats import SIEFStats, sief_stats
 from repro.core.lazy import LazySIEFIndex
 from repro.core.parallel import build_sief_parallel
 from repro.core.verify import verify_index
-from repro.core import serialize
 
 __all__ = [
     "AffectedVertices",
@@ -46,7 +45,6 @@ __all__ = [
     "QueryCase",
     "SIEFStats",
     "sief_stats",
-    "serialize",
     "LazySIEFIndex",
     "build_sief_parallel",
     "verify_index",

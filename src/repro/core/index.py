@@ -11,6 +11,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.core.supplemental import SupplementalIndex
 from repro.exceptions import FailureCaseNotIndexed, IndexError_
 from repro.graph.graph import normalize_edge
@@ -58,23 +60,38 @@ class SIEFIndex:
         return self
 
     @classmethod
-    def load(cls, path: Union[str, "Path"]) -> "SIEFIndex":
-        """Load an index from either on-disk format.
+    def load(cls, path: Union[str, Path]) -> "SIEFIndex":
+        """Open a ``.siefseg`` segment store as a fully-resident index.
 
-        ``.siefseg`` directories (the segment store) rebuild a
-        fully-resident index whose supplements stay views of the segment
-        mmap — for demand-paged serving use
-        :class:`~repro.core.lazy.PagedSIEFIndex` instead.  Any other path
-        loads the legacy binary format.
+        The supplements stay views of the segment mmap; for demand-paged
+        serving use :class:`~repro.core.lazy.PagedSIEFIndex` instead.
+        Any other path raises :class:`~repro.exceptions.StoreError`.
         """
-        p = Path(path)
-        if p.suffix == ".siefseg":
-            from repro.core.segstore import SegmentStore
+        from repro.core.segstore import SegmentStore
 
-            return SegmentStore(p).to_index()
-        from repro.core.serialize import load_index
+        return SegmentStore(path).to_index()
 
-        return load_index(p)
+    def __eq__(self, other: object) -> bool:
+        """Content equality: labeling, case set and every supplement.
+
+        Per case it compares ``affected`` (sides and the ``disconnected``
+        flag) and the four ``flat()`` arrays — everything the segment
+        store persists — so an in-RAM index equals the one read back
+        from its store, whichever supplement class either side holds.
+        """
+        if not isinstance(other, SIEFIndex):
+            return NotImplemented
+        if self.supplements.keys() != other.supplements.keys():
+            return False
+        if self.labeling != other.labeling:
+            return False
+        for edge, si in self.supplements.items():
+            theirs = other.supplements[edge]
+            if si.affected != theirs.affected or not all(
+                np.array_equal(a, b) for a, b in zip(si.flat(), theirs.flat())
+            ):
+                return False
+        return True
 
     def add_supplement(self, edge: Edge, si: SupplementalIndex) -> None:
         """Register the supplemental index for one failed-edge case."""

@@ -2,12 +2,14 @@
 
 SIEF builds its index once and then only reads it, so one flat mmap
 layout serves every query: the frozen labeling's CSR arrays plus one
-record per failure case.  The same store is the spill target of the
-sharded build: each finished shard's supplements append to a single
-segment file, the in-RAM shard is dropped, and peak build memory becomes
-O(shard) instead of O(E).  ``sief freeze`` converts an in-RAM index to
-this layout and ``sief serve`` serves it demand-paged through
-:class:`~repro.core.lazy.PagedSIEFIndex`.
+record per failure case.  It is the only persisted form of the index.
+``sief build`` writes it through the sharded build: each finished
+shard's supplements append to a single segment file, the in-RAM shard
+is dropped, and peak build memory becomes O(shard) instead of O(E).
+Every other command opens it through
+:meth:`~repro.core.index.SIEFIndex.load`, and ``sief serve`` serves it
+demand-paged through :class:`~repro.core.lazy.PagedSIEFIndex`.  A store
+with zero cases persists a labeling on its own.
 
 A store is a directory ``<name>.siefseg/`` holding three files:
 
@@ -31,9 +33,12 @@ A store is a directory ``<name>.siefseg/`` holding three files:
     (``u << 32 | v``) a query resolves with one ``searchsorted``.
 
 :class:`SegmentStore` verifies the table of contents against the
-segment file on every access and raises
-:class:`~repro.exceptions.StoreError` on any disagreement — a corrupt
-store refuses to answer rather than return wrong distances.
+segment file and the labeling, and every decoded record's ids, offsets
+and distances against their ranges, raising
+:class:`~repro.exceptions.StoreError` on any disagreement — corruption
+that breaks the structure refuses to answer instead of crashing a query.
+Flips that stay in range can still change answers; content checksums
+are not part of the format yet.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import numpy as np
 
 from repro.core.affected import AffectedVertices
 from repro.core.supplemental import FlatSupplement, SupplementalLabels
-from repro.exceptions import FailureCaseNotIndexed, StoreError
+from repro.exceptions import FailureCaseNotIndexed, ReproError, StoreError
 from repro.graph.graph import Graph, normalize_edge
 from repro.labeling.label import Labeling
 from repro.obs import hooks as _obs
@@ -63,7 +68,7 @@ SEGSTORE_FORMAT_VERSION = 1
 """Version stamped into ``toc.npz`` (checked on open)."""
 
 STORE_SUFFIX = ".siefseg"
-"""Directory suffix :meth:`repro.core.index.SIEFIndex.load` routes on."""
+"""Directory suffix of every store (:class:`SegmentWriter` appends it)."""
 
 LABELING_FILE = "labeling.npz"
 SEGMENTS_FILE = "segments.bin"
@@ -85,9 +90,9 @@ class MappedSupplement:
     """Read-only ``SI(u, v)`` view over one decoded segment record.
 
     Implements the surface :class:`~repro.core.query.SIEFQueryEngine`
-    and :mod:`repro.core.serialize` touch — ``affected``, ``get``,
-    ``flat``, ``edge``, ``labels``/``iter_labels``, ``total_entries`` —
-    without ever copying the rank/dist arrays: ``flat()`` returns views
+    and ``SIEFIndex.__eq__`` touch — ``affected``, ``get``, ``flat``,
+    ``edge``, ``labels``/``iter_labels``, ``total_entries`` — without
+    ever copying the rank/dist arrays: ``flat()`` returns views
     into the segment mmap.  The affected-side tuples and the per-vertex
     ``labels`` dict are built lazily and cached; for batch-path serving
     they are never needed at all beyond the sides.
@@ -420,8 +425,8 @@ class SegmentWriter:
 def write_index(index, path: PathLike) -> SegmentWriter:
     """Write a resident :class:`~repro.core.index.SIEFIndex` to a store.
 
-    What ``sief freeze`` does: freezes the index, writes its labeling and
-    every case in canonical order, and returns the finalized writer
+    Freezes the index, writes its labeling and every case in canonical
+    order, and returns the finalized writer
     (``path``, ``num_cases``, ``total_entries``, ``bytes_written``).
     """
     index.freeze()
@@ -453,7 +458,10 @@ class SegmentStore:
     def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
         if not self.path.is_dir():
-            raise StoreError(f"no such segment store: {self.path}")
+            raise StoreError(
+                f"{self.path} is not a {STORE_SUFFIX} segment store; "
+                f"write one with `sief build GRAPH -o X{STORE_SUFFIX}`"
+            )
         for name in (LABELING_FILE, SEGMENTS_FILE, TOC_FILE):
             if not (self.path / name).exists():
                 raise StoreError(
@@ -519,15 +527,27 @@ class SegmentStore:
                     raise StoreError(
                         f"labeling of {self.path} is missing {key!r}"
                     )
-            ordering = VertexOrdering(
-                [int(x) for x in arrays["vertex_at"]]
-            )
-            self._labeling = Labeling.from_flat(
-                ordering,
-                arrays["offsets"],
-                arrays["hubs"],
-                arrays["dists"],
-            )
+            shape = arrays["vertex_at"].shape
+            if shape != (self.num_vertices,):
+                raise StoreError(
+                    f"labeling of {self.path} has vertex shape {shape}, "
+                    f"TOC expects {self.num_vertices} vertices "
+                    "(mixed-up store files)"
+                )
+            try:
+                ordering = VertexOrdering(
+                    [int(x) for x in arrays["vertex_at"]]
+                )
+                self._labeling = Labeling.from_flat(
+                    ordering,
+                    arrays["offsets"],
+                    arrays["hubs"],
+                    arrays["dists"],
+                )
+            except ReproError as exc:
+                raise StoreError(
+                    f"corrupt labeling in {self.path}: {exc}"
+                ) from exc
         return self._labeling
 
     # -- case access --------------------------------------------------------
@@ -571,7 +591,9 @@ class SegmentStore:
                 f"the end of the {self._seg_size}-byte segment file "
                 "(truncated store)"
             )
-        rec = self._seg[off : off + length]
+        # A plain-ndarray view of the mapped record: every array below
+        # stays zero-copy, without np.memmap's per-operation overhead.
+        rec = np.asarray(self._seg[off : off + length])
         header = rec[:_HEADER_BYTES].view("<i8")
         ru, rv, n_su, n_sv, n_verts, n_ent, disc = (int(x) for x in header)
         if (ru, rv) != (u, v):
@@ -608,6 +630,27 @@ class SegmentStore:
                 f"[{int(entry_offsets[0])}, {int(entry_offsets[-1])}], "
                 f"record stores {n_ent} entries (corrupt offsets)"
             )
+        n = self.num_vertices
+        for name, ids in (
+            ("side_u", side_u), ("side_v", side_v), ("vertices", vertices)
+        ):
+            if ids.size and (
+                ids[0] < 0 or ids[-1] >= n or np.any(ids[1:] <= ids[:-1])
+            ):
+                raise StoreError(
+                    f"case ({u}, {v}): {name} is not strictly ascending "
+                    f"within [0, {n}) (corrupt record)"
+                )
+        if np.any(entry_offsets[1:] < entry_offsets[:-1]):
+            raise StoreError(
+                f"case ({u}, {v}): entry offsets decrease (corrupt record)"
+            )
+        # Read as unsigned, a negative rank is >= 2**31 >= n: one pass.
+        if n_ent and (ranks.view("<u4").max() >= n or dists.min() < 0):
+            raise StoreError(
+                f"case ({u}, {v}): a rank lies outside [0, {n}) or a "
+                "distance is negative (corrupt record)"
+            )
         return MappedSupplement(
             u, v, bool(disc), side_u, side_v,
             vertices, entry_offsets, ranks, dists,
@@ -622,9 +665,8 @@ class SegmentStore:
     def to_index(self):
         """Rebuild a fully-resident :class:`SIEFIndex` from the store.
 
-        Used by ``SIEFIndex.load`` on ``.siefseg`` paths and by the
-        conformance adapters' ``index_to_bytes`` equality check; the
-        supplements stay zero-copy views of the segment mmap.
+        What ``SIEFIndex.load`` returns; the supplements stay zero-copy
+        views of the segment mmap.
         """
         from repro.core.index import SIEFIndex
 
@@ -652,8 +694,9 @@ class SegmentStore:
 
 @dataclass(frozen=True)
 class ShardedBuildReport:
-    """Aggregate of one out-of-core build (the spill-side companion of
-    :class:`~repro.core.builder.BuildReport`)."""
+    """Aggregate of one out-of-core build: the spill totals plus the
+    IDENTIFY/RELABEL split summed over each shard's
+    :class:`~repro.core.builder.BuildReport`."""
 
     num_shards: int
     num_cases: int
@@ -661,6 +704,8 @@ class ShardedBuildReport:
     spilled_bytes: int
     max_resident_cases: int
     build_seconds: float
+    identify_seconds: float
+    relabel_seconds: float
 
 
 def build_sief_sharded(
@@ -677,8 +722,8 @@ def build_sief_sharded(
 
     The edge list is sorted globally and split into contiguous shards,
     so the concatenated segment order equals the canonical order of an
-    in-RAM build — ``index_to_bytes`` of the rebuilt store matches the
-    in-RAM index byte for byte.  One :class:`SIEFBuilder` (one CSR
+    in-RAM build and the rebuilt store equals the in-RAM index
+    (``SIEFIndex.__eq__``).  One :class:`SIEFBuilder` (one CSR
     snapshot) is reused across shards; with ``jobs > 1`` each shard
     routes through :func:`repro.core.parallel.build_sief_parallel` over
     shared memory instead.
@@ -708,22 +753,25 @@ def build_sief_sharded(
     reg = _obs.registry
     num_shards = 0
     max_resident = 0
+    identify_seconds = relabel_seconds = 0.0
     with _obs.span("sief.ooc.build"):
         for s0 in range(0, m, shard_size):
             shard = edge_list[s0 : s0 + shard_size]
             with _obs.span("sief.ooc.shard"):
                 if builder is not None:
-                    shard_index, _ = builder.build(edges=shard)
+                    shard_index, shard_report = builder.build(edges=shard)
                 else:
                     from repro.core.parallel import build_sief_parallel
 
-                    shard_index, _ = build_sief_parallel(
+                    shard_index, shard_report = build_sief_parallel(
                         graph,
                         labeling,
                         algorithm,
                         workers=jobs,
                         edges=shard,
                     )
+                identify_seconds += shard_report.identify_seconds
+                relabel_seconds += shard_report.relabel_seconds
                 resident = shard_index.num_cases
                 max_resident = max(max_resident, resident)
                 spilled = 0
@@ -746,5 +794,7 @@ def build_sief_sharded(
         spilled_bytes=writer.bytes_written,
         max_resident_cases=max_resident,
         build_seconds=time.perf_counter() - t0,
+        identify_seconds=identify_seconds,
+        relabel_seconds=relabel_seconds,
     )
     return store_path, report

@@ -92,11 +92,21 @@ class SharedArena:
             name=name, create=True, size=max(offset, 1)
         )
         arena = cls(segment, layout, owner=True)
-        for (key, dtype, shape, off), arr in zip(layout, arrays.values()):
-            view = np.ndarray(
-                shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=off
-            )
-            view[...] = arr
+        view = None
+        try:
+            for (key, dtype, shape, off), arr in zip(layout, arrays.values()):
+                view = np.ndarray(
+                    shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=off
+                )
+                view[...] = arr
+        except BaseException:
+            # The segment is visible in /dev/shm before the copy ends; a
+            # KeyboardInterrupt here must not leave it behind, since the
+            # caller never receives the arena and cannot unlink it.
+            view = None  # close() refuses while a view exports the buffer
+            arena.unlink()
+            arena.close()
+            raise
         reg = _obs.registry
         if reg is not None:
             reg.counter("sief.shm.segments_published").inc()

@@ -1,7 +1,7 @@
 """Persistence for the extension indexes (weighted and directed SIEF).
 
-The core unweighted index has a compact binary format
-(:mod:`repro.core.serialize`); the extensions use a self-describing JSON
+The core unweighted index persists as a segment store
+(:mod:`repro.core.segstore`); the extensions use a self-describing JSON
 envelope instead — their distance types differ (floats for weighted,
 dual in/out maps for directed) and their scale is secondary to the
 paper's evaluation, so clarity wins over byte-shaving here.

@@ -6,8 +6,9 @@ any pair ``(s, t)`` is the minimum of ``δ(h,s) + δ(h,t)`` over shared hubs
 ``h``.  This package builds *well-ordered* labelings (Definition 1 of the
 SIEF paper) with Pruned Landmark Labeling — unweighted (pruned BFS),
 weighted (pruned Dijkstra), and directed (in/out labels) — and provides
-query evaluation, verification, redundancy analysis (Lemma 4), statistics
-and serialization.
+query evaluation, verification, redundancy analysis (Lemma 4) and
+statistics.  A labeling persists as a zero-case segment store
+(:mod:`repro.core.segstore`).
 """
 
 from repro.labeling.label import Labeling, LabelEntry
@@ -29,7 +30,6 @@ from repro.labeling.paths import (
 )
 from repro.labeling.dynamic import insert_edge, insert_edges
 from repro.labeling.isl import build_isl
-from repro.labeling import serialize
 
 __all__ = [
     "Labeling",
@@ -50,7 +50,6 @@ __all__ = [
     "LabelingStats",
     "labeling_stats",
     "BYTES_PER_ENTRY",
-    "serialize",
     "shortest_path_via_labeling",
     "failure_shortest_path",
     "hub_of_pair",

@@ -815,8 +815,8 @@ class _ShardedWorld:
 
     The fuzzed graph is rebuilt through :func:`build_sief_sharded` with a
     deliberately tiny shard size (so even small instances spill across
-    several shards), and the store's rebuilt index is proven bit-identical
-    to the in-RAM reference via ``index_to_bytes`` before any answer is
+    several shards), and the store's rebuilt index is proven equal to
+    the in-RAM reference (``SIEFIndex.__eq__``) before any answer is
     served from it.
     """
 
@@ -829,7 +829,6 @@ class _ShardedWorld:
         from repro.core.lazy import PagedSIEFIndex
         from repro.core.query import SIEFQueryEngine
         from repro.core.segstore import SegmentStore, build_sief_sharded
-        from repro.core.serialize import index_to_bytes
 
         self.tmp = tempfile.TemporaryDirectory(prefix="sief-shard-fuzz-")
         path, self.report = build_sief_sharded(
@@ -841,10 +840,10 @@ class _ShardedWorld:
         self.store = SegmentStore(path)
         rebuilt = self.store.to_index()
         reference = ctx.sief_index()
-        if index_to_bytes(rebuilt) != index_to_bytes(reference):
+        if rebuilt != reference:
             raise AssertionError(
-                "sharded-build: index rebuilt from segments is not "
-                "bit-identical to the in-RAM reference"
+                "sharded-build: index rebuilt from segments differs "
+                "from the in-RAM reference"
             )
         self.rebuilt_engine = SIEFQueryEngine(rebuilt)
         # Capacity far below the case count, so the paged engine pages
@@ -873,8 +872,8 @@ class SIEFShardedBuildAdapter(EngineAdapter):
     """Batch queries on an index rebuilt from an out-of-core spill.
 
     Materializing the world runs the full shard → spill → mmap-load
-    round trip on every fuzzed instance and asserts ``index_to_bytes``
-    equality with the in-RAM build, so this adapter checks the sharded
+    round trip on every fuzzed instance and asserts content equality
+    with the in-RAM build, so this adapter checks the sharded
     *construction* path while its answers go to ground truth (ISSUE 9).
     """
 

@@ -21,6 +21,19 @@ def test_parser_subcommands():
     parser = build_parser()
     args = parser.parse_args(["generate", "--dataset", "ca_grqc", "-o", "x"])
     assert args.command == "generate"
+    assert parser.parse_args(["build", "g.txt"]).output == "index.siefseg"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["freeze", "x.sief"], ["check", "g.txt", "x.sief"],
+     ["build", "g.txt", "--spill", "x.siefseg"]],
+    ids=["freeze", "check", "build-spill"],
+)
+def test_parser_has_no_second_index_format(argv):
+    # `sief build` writes the one format every command reads.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
 
 
 def test_generate_list(capsys):
@@ -42,7 +55,7 @@ def test_build_query_stats_pipeline(graph_file, tmp_path, capsys):
     from repro.graph.io import read_edge_list
 
     g, _names = read_edge_list(path)
-    index_file = tmp_path / "g.sief"
+    index_file = tmp_path / "g.siefseg"
     assert main(["build", str(path), "-o", str(index_file)]) == 0
     assert index_file.exists()
     build_out = capsys.readouterr().out
@@ -69,7 +82,7 @@ def test_build_query_stats_pipeline(graph_file, tmp_path, capsys):
 
 def test_build_with_bfs_aff(graph_file, tmp_path, capsys):
     path, _ = graph_file
-    index_file = tmp_path / "aff.sief"
+    index_file = tmp_path / "aff.siefseg"
     rc = main(
         ["build", str(path), "-o", str(index_file), "--algorithm", "bfs_aff"]
     )
@@ -85,16 +98,16 @@ def test_validate_good_file(graph_file, capsys):
 
 def test_query_consistency_with_library(graph_file, tmp_path):
     from repro.baselines.bfs_query import BFSQueryBaseline
-    from repro.core.serialize import load_index
+    from repro.core.index import SIEFIndex
     from repro.core.query import SIEFQueryEngine
     from repro.graph.io import read_edge_list
 
     path, _original = graph_file
     # Compare in the CLI's (densified) id space.
     g, _names = read_edge_list(path)
-    index_file = tmp_path / "g.sief"
+    index_file = tmp_path / "g.siefseg"
     main(["build", str(path), "-o", str(index_file)])
-    engine = SIEFQueryEngine(load_index(index_file))
+    engine = SIEFQueryEngine(SIEFIndex.load(index_file))
     baseline = BFSQueryBaseline(g)
     n = g.num_vertices
     for u, v in list(g.edges())[:5]:
@@ -110,7 +123,7 @@ def test_path_command(graph_file, tmp_path, capsys):
 
     path, _original = graph_file
     g, _names = read_edge_list(path)
-    index_file = tmp_path / "g.sief"
+    index_file = tmp_path / "g.siefseg"
     main(["build", str(path), "-o", str(index_file)])
     capsys.readouterr()
     u, v = next(iter(g.edges()))
@@ -131,7 +144,7 @@ def test_path_command(graph_file, tmp_path, capsys):
 
 def test_impact_command(graph_file, tmp_path, capsys):
     path, _ = graph_file
-    index_file = tmp_path / "g.sief"
+    index_file = tmp_path / "g.siefseg"
     main(["build", str(path), "-o", str(index_file)])
     capsys.readouterr()
     rc = main(["impact", str(index_file), "--top", "3", "--queries", "50"])
@@ -144,7 +157,7 @@ def test_impact_command(graph_file, tmp_path, capsys):
 class TestVerifyCommand:
     def _build(self, graph_file, tmp_path):
         path, _ = graph_file
-        index_file = tmp_path / "g.sief"
+        index_file = tmp_path / "g.siefseg"
         assert main(["build", str(path), "-o", str(index_file)]) == 0
         return path, index_file
 
@@ -229,49 +242,38 @@ class TestFuzzCommand:
 
 class TestOutOfCore:
     def test_build_spill_writes_segment_store(self, graph_file, tmp_path, capsys):
+        from repro.core.builder import build_sief
         from repro.core.index import SIEFIndex
-        from repro.core.serialize import index_to_bytes
+        from repro.graph.io import read_edge_list
+        from repro.labeling.pll import build_pll
+        from repro.order.strategies import make_ordering
 
-        path, g = graph_file
-        store = tmp_path / "store.siefseg"
-        rc = main(
-            ["build", str(path), "--batched", "--spill", str(store),
-             "--shards", "3"]
+        path, _original = graph_file
+        g, _names = read_edge_list(path)
+        reference = build_sief(
+            g, build_pll(g, make_ordering(g, "degree")), algorithm="batched"
         )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "3 shards" in out
-        assert (store / "segments.bin").exists()
-        # The spilled store rebuilds bit-identically to an in-RAM build.
-        index_file = tmp_path / "ref.sief"
-        main(["build", str(path), "--batched", "-o", str(index_file)])
-        assert index_to_bytes(SIEFIndex.load(store)) == index_to_bytes(
-            SIEFIndex.load(index_file)
-        )
-
-    def test_freeze_converts_index_to_segment_store(
-        self, graph_file, tmp_path, capsys
-    ):
-        from repro.core.index import SIEFIndex
-        from repro.core.serialize import index_to_bytes
-
-        path, _g = graph_file
-        index_file = tmp_path / "idx.sief"
-        main(["build", str(path), "--batched", "-o", str(index_file)])
-        store = tmp_path / "conv.siefseg"
-        rc = main(["freeze", str(index_file), "--output", str(store)])
-        assert rc == 0
-        assert "segment store written" in capsys.readouterr().out
-        assert index_to_bytes(SIEFIndex.load(store)) == index_to_bytes(
-            SIEFIndex.load(index_file)
-        )
+        for jobs in ("1", "2"):
+            store = tmp_path / f"store-j{jobs}.siefseg"
+            rc = main(
+                ["build", str(path), "--batched", "-o", str(store),
+                 "--shards", "3", "--jobs", jobs]
+            )
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert "3 shards" in out
+            assert "identify" in out and "relabel" in out
+            assert (store / "segments.bin").exists()
+            # Each shard is spilled as it finishes; the store still
+            # equals a one-shot in-RAM build.
+            assert SIEFIndex.load(store) == reference
 
     def test_serve_rejects_non_segment_store(self, tmp_path, capsys):
         index_file = tmp_path / "foo.sief"
         index_file.write_bytes(b"never opened")
         assert main(["serve", str(index_file)]) == 2
         captured = capsys.readouterr()
-        assert "sief freeze" in captured.err
+        assert "sief build" in captured.err
         assert "serving on" not in captured.out
 
 

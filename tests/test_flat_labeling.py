@@ -5,24 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import LabelingError, SerializationError
+from repro.exceptions import LabelingError, StoreError
 from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.labeling.label import Labeling
 from repro.labeling.pll import build_pll
 from repro.labeling.query import INF, batch_dist_query, dist_query
-from repro.labeling.serialize import (
-    labeling_from_bytes,
-    labeling_from_json,
-    labeling_to_bytes,
-    labeling_to_json,
-    load_labeling_npz,
-    save_labeling_npz,
-)
 from repro.labeling.stats import labeling_stats
 from repro.order.ordering import VertexOrdering
 from repro.core.builder import SIEFBuilder
 from repro.core.query import SIEFQueryEngine
+from repro.core.segstore import LABELING_FILE, SegmentStore, SegmentWriter
 
 
 @pytest.fixture(scope="module")
@@ -218,44 +211,30 @@ class TestEngineBatchQuery:
 
 
 class TestFlatSerialization:
-    def test_binary_round_trip_from_frozen(self, labeling, frozen):
-        assert labeling_from_bytes(labeling_to_bytes(frozen)) == labeling
+    """A zero-case segment store persists a labeling on its own; its
+    ``labeling.npz`` holds the frozen flat arrays."""
+
+    def test_binary_round_trip_from_frozen(self, tmp_path, labeling, frozen):
+        assert _store_labeling(tmp_path, frozen) == labeling
 
     def test_npz_round_trip(self, tmp_path, labeling, frozen):
-        path = tmp_path / "labels.npz"
-        save_labeling_npz(frozen, path)
-        loaded = load_labeling_npz(path)
+        loaded = _store_labeling(tmp_path, frozen)
         assert loaded.frozen
         assert loaded == labeling
 
     def test_npz_from_thawed(self, tmp_path, labeling):
-        path = tmp_path / "labels.npz"
-        save_labeling_npz(labeling, path)
-        assert not labeling.frozen  # saving must not freeze the original
-        assert load_labeling_npz(path) == labeling
+        thawed = labeling.copy()
+        assert not thawed.frozen
+        assert _store_labeling(tmp_path, thawed) == labeling
 
-    def test_npz_bad_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        path.write_bytes(b"not an npz file")
-        with pytest.raises(SerializationError):
-            load_labeling_npz(path)
+    def test_npz_bad_file_rejected(self, tmp_path, frozen):
+        path = SegmentWriter(tmp_path / "lab", frozen).finalize()
+        (path / LABELING_FILE).write_bytes(b"not an npz file")
+        with pytest.raises(StoreError):
+            SegmentStore(path).labeling()
 
-    def test_json_v2_round_trip(self, labeling, frozen):
-        text = labeling_to_json(frozen)
-        assert '"format_version":2' in text
-        assert labeling_from_json(text) == labeling
 
-    def test_json_v1_still_loads(self, labeling):
-        import json
-
-        doc = json.loads(labeling_to_json(labeling))
-        del doc["format_version"]  # the pre-version-field layout
-        assert labeling_from_json(json.dumps(doc)) == labeling
-
-    def test_json_unknown_version_rejected(self, labeling):
-        import json
-
-        doc = json.loads(labeling_to_json(labeling))
-        doc["format_version"] = 99
-        with pytest.raises(SerializationError, match="version"):
-            labeling_from_json(json.dumps(doc))
+def _store_labeling(tmp_path, labeling):
+    """Write ``labeling`` to a zero-case store and read it back."""
+    path = SegmentWriter(tmp_path / "lab", labeling).finalize()
+    return SegmentStore(path).labeling()

@@ -1,6 +1,8 @@
-"""Tests for SIEF index integrity verification (and its CLI command)."""
+"""Tests for SIEF index integrity verification."""
 
 from __future__ import annotations
+
+import copy
 
 import pytest
 
@@ -41,9 +43,7 @@ class TestCorruptions:
 
     def test_tampered_distance_detected(self, built):
         g, index = built
-        from repro.core.serialize import index_from_bytes, index_to_bytes
-
-        tampered = index_from_bytes(index_to_bytes(index))
+        tampered = copy.deepcopy(index)
         # Find a case with a supplemental entry and *shrink* a distance:
         # an undercut answer can never be masked by other entries (the
         # minimum only drops), unlike an inflated one which later hubs
@@ -63,9 +63,7 @@ class TestCorruptions:
     def test_tampered_affected_set_detected(self, built):
         g, index = built
         from repro.core.affected import AffectedVertices
-        from repro.core.serialize import index_from_bytes, index_to_bytes
-
-        tampered = index_from_bytes(index_to_bytes(index))
+        tampered = copy.deepcopy(index)
         edge, si = next(
             (e, s)
             for e, s in tampered.iter_cases()
@@ -85,9 +83,7 @@ class TestCorruptions:
 
     def test_well_ordering_violation_detected(self, built):
         g, index = built
-        from repro.core.serialize import index_from_bytes, index_to_bytes
-
-        tampered = index_from_bytes(index_to_bytes(index))
+        tampered = copy.deepcopy(index)
         for _edge, si in tampered.iter_cases():
             for t, sl in si.iter_labels():
                 sl.ranks[0] = tampered.labeling.ordering.rank(t) + 1
@@ -98,36 +94,3 @@ class TestCorruptions:
         problems = structural_problems(tampered, g)
         assert any("well-ordering" in p for p in problems)
 
-
-class TestCheckCommand:
-    def test_cli_check_ok(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.graph.io import write_edge_list
-
-        g = generators.erdos_renyi_gnm(14, 24, seed=52)
-        graph_file = tmp_path / "g.txt"
-        write_edge_list(g, graph_file)
-        index_file = tmp_path / "g.sief"
-        main(["build", str(graph_file), "-o", str(index_file)])
-        capsys.readouterr()
-        rc = main(["check", str(graph_file), str(index_file)])
-        assert rc == 0
-        assert "ok: index consistent" in capsys.readouterr().out
-
-    def test_cli_check_detects_mismatch(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.graph.io import write_edge_list
-
-        g = generators.erdos_renyi_gnm(14, 24, seed=53)
-        h = generators.erdos_renyi_gnm(14, 24, seed=54)
-        graph_file = tmp_path / "g.txt"
-        other_file = tmp_path / "h.txt"
-        write_edge_list(g, graph_file)
-        write_edge_list(h, other_file)
-        index_file = tmp_path / "g.sief"
-        main(["build", str(graph_file), "-o", str(index_file)])
-        capsys.readouterr()
-        rc = main(["check", str(other_file), str(index_file)])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "PROBLEM" in out

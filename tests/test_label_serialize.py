@@ -1,21 +1,21 @@
-"""Unit tests for labeling serialization (binary + JSON)."""
+"""Labeling persistence: a zero-case segment store round trip.
+
+The store's ``labeling.npz`` is the one persisted form of a labeling
+(:class:`~repro.core.segstore.SegmentWriter` writes it, and
+:meth:`~repro.core.segstore.SegmentStore.labeling` maps it back).
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import SerializationError
+from repro.core.segstore import LABELING_FILE, SegmentStore, SegmentWriter
+from repro.exceptions import StoreError
 from repro.graph import generators
+from repro.labeling.label import Labeling
 from repro.labeling.pll import build_pll
-from repro.labeling.serialize import (
-    labeling_from_bytes,
-    labeling_from_json,
-    labeling_to_bytes,
-    labeling_to_json,
-    load_labeling,
-    save_labeling,
-)
 from repro.labeling.stats import labeling_bytes
+from repro.order.ordering import VertexOrdering
 
 
 @pytest.fixture
@@ -24,57 +24,56 @@ def labeling():
     return build_pll(g)
 
 
-def test_binary_round_trip(labeling):
-    assert labeling_from_bytes(labeling_to_bytes(labeling)) == labeling
+def _write(tmp_path, labeling):
+    """A zero-case store holding a copy of ``labeling``; returns its path."""
+    return SegmentWriter(tmp_path / "lab", labeling.copy()).finalize()
 
 
-def test_binary_round_trip_paper(paper_labeling):
-    assert labeling_from_bytes(labeling_to_bytes(paper_labeling)) == (
-        paper_labeling
-    )
+def _round_trip(tmp_path, labeling):
+    return SegmentStore(_write(tmp_path, labeling)).labeling()
+
+
+def test_binary_round_trip(tmp_path, labeling):
+    assert _round_trip(tmp_path, labeling) == labeling
+
+
+def test_binary_round_trip_paper(tmp_path, paper_labeling):
+    assert _round_trip(tmp_path, paper_labeling) == paper_labeling
 
 
 def test_file_round_trip(tmp_path, labeling):
-    path = tmp_path / "labels.bin"
-    save_labeling(labeling, path)
-    assert load_labeling(path) == labeling
+    path = _write(tmp_path, labeling)
+    assert path == tmp_path / "lab.siefseg"
+    assert SegmentStore(path).num_cases == 0
+    assert SegmentStore(path).labeling() == labeling
 
 
-def test_binary_size_matches_byte_model(labeling):
-    """The on-disk blob tracks the modelled 8 B/entry + overhead."""
-    blob = labeling_to_bytes(labeling)
+def test_binary_size_matches_byte_model(tmp_path, labeling):
+    """The stored labeling tracks the modelled 8 B/entry + overhead."""
+    size = (_write(tmp_path, labeling) / LABELING_FILE).stat().st_size
     modelled = labeling_bytes(labeling.total_entries(), labeling.num_vertices)
-    # magic (8) + n (8) + ordering (4n); model charges 8/vertex overhead
-    # which covers sizes (4n) with 4n to spare.
-    assert abs(len(blob) - modelled) <= 16 + 4 * labeling.num_vertices
+    # hubs + dists are 4 B each per entry, as modelled; per vertex the
+    # store keeps an int64 offset and an int32 ordering slot (12 B, the
+    # model charges 8); the rest is one zip + npy header per member.
+    headers = size - modelled - 4 * labeling.num_vertices
+    assert 0 <= headers <= 1536
 
 
-def test_bad_magic_rejected():
-    with pytest.raises(SerializationError, match="magic"):
-        labeling_from_bytes(b"NOTMAGIC" + b"\x00" * 64)
+def test_bad_magic_rejected(tmp_path, labeling):
+    path = _write(tmp_path, labeling)
+    (path / LABELING_FILE).write_bytes(b"NOTMAGIC" + b"\x00" * 64)
+    with pytest.raises(StoreError, match="labeling"):
+        SegmentStore(path).labeling()
 
 
-def test_truncated_blob_rejected(labeling):
-    blob = labeling_to_bytes(labeling)
-    with pytest.raises(SerializationError):
-        labeling_from_bytes(blob[: len(blob) // 2])
+def test_truncated_blob_rejected(tmp_path, labeling):
+    path = _write(tmp_path, labeling)
+    blob = (path / LABELING_FILE).read_bytes()
+    (path / LABELING_FILE).write_bytes(blob[: len(blob) // 2])
+    with pytest.raises(StoreError):
+        SegmentStore(path).labeling()
 
 
-def test_json_round_trip(labeling):
-    assert labeling_from_json(labeling_to_json(labeling)) == labeling
-
-
-def test_json_malformed():
-    with pytest.raises(SerializationError):
-        labeling_from_json("{}")
-    with pytest.raises(SerializationError):
-        labeling_from_json("not json at all")
-
-
-def test_empty_labeling_round_trip():
-    from repro.labeling.label import Labeling
-    from repro.order.ordering import VertexOrdering
-
+def test_empty_labeling_round_trip(tmp_path):
     empty = Labeling.empty(VertexOrdering([1, 0, 2]))
-    assert labeling_from_bytes(labeling_to_bytes(empty)) == empty
-    assert labeling_from_json(labeling_to_json(empty)) == empty
+    assert _round_trip(tmp_path, empty) == empty

@@ -156,7 +156,7 @@ def test_build_progress_renders_to_stderr(tmp_path, capsys):
             "build",
             str(graph),
             "-o",
-            str(tmp_path / "g.sief"),
+            str(tmp_path / "g.siefseg"),
             "--batched",
             "--progress",
         ]

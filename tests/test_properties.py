@@ -8,12 +8,14 @@ per layer:
 * Algorithm 1: identified affected sets equal the Definition-2 oracle;
 * BFS AFF ≡ BFS ALL: the two relabel strategies emit identical indexes;
 * SIEF: ``engine.distance(s, t, e) == d_{G-e}(s, t)`` for every triple;
-* serialization round trips preserve everything.
+* segment-store round trips preserve everything.
 """
 
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -25,14 +27,13 @@ from repro.graph.traversal import (
 )
 from repro.labeling.pll import build_pll
 from repro.labeling.query import INF, dist_query
-from repro.labeling.serialize import labeling_from_bytes, labeling_to_bytes
 from repro.order.strategies import random_order
 from repro.core.affected import affected_by_definition, identify_affected
 from repro.core.bfs_aff import build_supplemental_bfs_aff
 from repro.core.bfs_all import build_supplemental_bfs_all
 from repro.core.builder import SIEFBuilder
 from repro.core.query import SIEFQueryEngine
-from repro.core.serialize import index_from_bytes, index_to_bytes
+from repro.core.segstore import SegmentStore, SegmentWriter, write_index
 
 
 @st.composite
@@ -105,18 +106,20 @@ def test_sief_queries_equal_bfs_ground_truth(g, order_seed):
 @given(g=graphs())
 @settings(max_examples=40, **COMMON)
 def test_labeling_binary_round_trip(g):
+    # A zero-case store persists a labeling on its own.
     labeling = build_pll(g)
-    assert labeling_from_bytes(labeling_to_bytes(labeling)) == labeling
+    with tempfile.TemporaryDirectory() as tmp:
+        path = SegmentWriter(Path(tmp) / "lab", labeling.copy()).finalize()
+        assert SegmentStore(path).labeling() == labeling
 
 
 @given(g=graphs(max_vertices=10))
 @settings(max_examples=25, **COMMON)
 def test_sief_index_round_trip(g):
     index, _ = SIEFBuilder(g).build()
-    loaded = index_from_bytes(index_to_bytes(index))
-    assert loaded.labeling == index.labeling
-    for edge, si in index.iter_cases():
-        assert loaded.supplement(*edge) == si
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_index(index, Path(tmp) / "idx.siefseg").path
+        assert SegmentStore(path).to_index() == index
 
 
 @given(g=graphs())

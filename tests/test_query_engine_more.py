@@ -11,7 +11,8 @@ from repro.graph.graph import Graph
 from repro.labeling.query import INF
 from repro.core.builder import SIEFBuilder
 from repro.core.query import QueryCase, SIEFQueryEngine
-from repro.core.serialize import index_from_bytes, index_to_bytes
+from repro.core.index import SIEFIndex
+from repro.core.segstore import write_index
 
 
 @pytest.fixture(scope="module")
@@ -64,11 +65,10 @@ class TestCaseTaxonomy:
 
 
 class TestRoundTripBehavior:
-    def test_serialized_engine_identical_answers(self, engine_pair):
+    def test_serialized_engine_identical_answers(self, engine_pair, tmp_path):
         g, engine = engine_pair
-        loaded = SIEFQueryEngine(
-            index_from_bytes(index_to_bytes(engine.index))
-        )
+        path = write_index(engine.index, tmp_path / "idx.siefseg").path
+        loaded = SIEFQueryEngine(SIEFIndex.load(path))
         rng = random.Random(1)
         edges = list(g.edges())
         for _ in range(200):

@@ -1,7 +1,7 @@
 """Segment-store round-trip, zero-copy mapping and corruption coverage.
 
-The ``.siefseg`` store is the one frozen and served index format.  It
-must (a) rebuild an index bit-identical to the in-RAM build, (b) map the
+The ``.siefseg`` store is the one persisted index format.  It must
+(a) rebuild an index equal to the in-RAM build, (b) map the
 label and supplement arrays straight out of its files — read-only,
 shared by every reader through the page cache — and (c) refuse, with a
 clear :class:`StoreError`, to answer from a store whose TOC and segment
@@ -11,6 +11,7 @@ must raise.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -30,12 +31,7 @@ from repro.core.segstore import (
     build_sief_sharded,
     write_index,
 )
-from repro.core.serialize import index_to_bytes, save_index
-from repro.exceptions import (
-    FailureCaseNotIndexed,
-    SerializationError,
-    StoreError,
-)
+from repro.exceptions import FailureCaseNotIndexed, StoreError
 from repro.graph import generators
 from repro.labeling.pll import build_pll
 from repro.order.strategies import by_degree
@@ -85,12 +81,12 @@ class TestRoundTrip:
     def test_rebuilt_index_is_bit_identical(self, graph, store_path):
         reference = build_sief(graph, build_pll(graph, by_degree(graph)))
         rebuilt = SegmentStore(store_path).to_index()
-        assert index_to_bytes(rebuilt) == index_to_bytes(reference)
+        assert rebuilt == reference
 
     def test_index_load_routes_siefseg_paths(self, graph, store_path):
         reference = build_sief(graph, build_pll(graph, by_degree(graph)))
         loaded = SIEFIndex.load(store_path)
-        assert index_to_bytes(loaded) == index_to_bytes(reference)
+        assert loaded == reference
 
     def test_write_index_roundtrip_answers(self, graph, tmp_path):
         index = in_ram_index(graph)
@@ -100,21 +96,23 @@ class TestRoundTrip:
         assert_same_answers(index, loaded)
 
     def test_write_index_serialize_parity(self, graph, tmp_path):
-        """Reloading a store reproduces the legacy format byte-for-byte."""
+        """Reloading a store reproduces the in-RAM index's content."""
         index = in_ram_index(graph)
         path = write_index(index, tmp_path / "idx").path
-        assert index_to_bytes(SegmentStore(path).to_index()) == index_to_bytes(index)
-        assert index_to_bytes(SIEFIndex.load(path)) == index_to_bytes(index)
+        assert SegmentStore(path).to_index() == index
+        assert SIEFIndex.load(path) == index
 
     def test_index_load_suffix_routing(self, graph, tmp_path):
         index = in_ram_index(graph)
         seg_path = write_index(index, tmp_path / "idx.siefseg").path
         assert seg_path == tmp_path / "idx.siefseg"
         assert_same_answers(index, SIEFIndex.load(seg_path))
-        save_index(index, tmp_path / "idx.sief")
-        assert_same_answers(index, SIEFIndex.load(tmp_path / "idx.sief"))
-        with pytest.raises(SerializationError):
-            SIEFIndex.load(seg_path / LABELING_FILE)
+        # Any other path is refused with a pointer to the one format.
+        legacy = tmp_path / "idx.sief"
+        legacy.write_bytes(b"SIEFIDX1" + b"\x00" * 16)
+        for other in (legacy, seg_path / LABELING_FILE, tmp_path / "nope"):
+            with pytest.raises(StoreError, match=r"\.siefseg.*sief build"):
+                SIEFIndex.load(other)
 
     @pytest.mark.parametrize(
         "shape",
@@ -132,7 +130,7 @@ class TestRoundTrip:
         index = in_ram_index(shape)
         path = write_index(index, tmp_path / "idx").path
         loaded = SegmentStore(path).to_index()
-        assert index_to_bytes(loaded) == index_to_bytes(index)
+        assert loaded == index
         assert_same_answers(index, loaded, seed=3)
 
     def test_unknown_edge_raises_not_indexed(self, store_path):
@@ -290,3 +288,86 @@ class TestCorruption:
         _retoc(store_path, format_version=np.int64(99))
         with pytest.raises(StoreError, match="version"):
             SegmentStore(store_path)
+
+    def test_labeling_vertex_count_must_match_toc(self, graph, tmp_path):
+        # A labeling copied in from another store must not be paired
+        # with this store's TOC and answer queries.
+        small, _ = build_sief_sharded(graph, tmp_path / "small")
+        big = generators.erdos_renyi_gnm(45, 90, seed=11)
+        other, _ = build_sief_sharded(big, tmp_path / "big")
+        (small / LABELING_FILE).write_bytes(
+            (other / LABELING_FILE).read_bytes()
+        )
+        store = SegmentStore(small)
+        with pytest.raises(StoreError, match="vertices"):
+            store.labeling()
+        with pytest.raises(StoreError):
+            SIEFIndex.load(small)
+
+
+class TestIndexEquality:
+    """``SIEFIndex.__eq__`` replaces byte digests, so it must catch every
+    single-field change a digest would, across supplement classes.
+
+    Each tampered index is a fresh build: supplemental labels only ever
+    grow (the contract ``SupplementalIndex.flat`` caches on), so edits
+    are made before anything reads the flat view.
+    """
+
+    @pytest.fixture
+    def built(self, tmp_path):
+        # Two components, so some failed edges are bridges.
+        g = generators.compose_disjoint(
+            [generators.erdos_renyi_gnm(16, 30, seed=5),
+             generators.path_graph(4)]
+        )
+        index = build_sief(g)
+        loaded = SIEFIndex.load(write_index(index, tmp_path / "idx").path)
+        return g, index, loaded
+
+    def test_equal_across_supplement_classes(self, built):
+        g, index, loaded = built
+        assert index == loaded and loaded == index
+        assert not (index != loaded)
+        assert build_sief(g) == loaded
+
+    def test_changed_supplemental_dist_is_unequal(self, built):
+        g, index, loaded = built
+        tampered = build_sief(g)
+        si = next(s for _e, s in tampered.iter_cases() if s.total_entries())
+        sl = next(sl for _v, sl in si.iter_labels() if len(sl))
+        sl.dists[0] += 1
+        assert tampered != index and tampered != loaded
+
+    def test_moved_affected_vertex_is_unequal(self, built):
+        g, index, loaded = built
+        tampered = build_sief(g)
+        si = next(
+            s for _e, s in tampered.iter_cases() if len(s.affected.side_u) > 1
+        )
+        av = si.affected
+        si.affected = dataclasses.replace(
+            av,
+            side_u=av.side_u[:-1],
+            side_v=tuple(sorted(av.side_v + av.side_u[-1:])),
+        )
+        assert tampered != index and tampered != loaded
+
+    def test_flipped_disconnected_flag_is_unequal(self, built):
+        g, index, loaded = built
+        assert any(s.affected.disconnected for _e, s in index.iter_cases())
+        tampered = build_sief(g)
+        _edge, si = next(tampered.iter_cases())
+        si.affected = dataclasses.replace(
+            si.affected, disconnected=not si.affected.disconnected
+        )
+        assert tampered != index and tampered != loaded
+
+    def test_missing_case_or_other_labeling_is_unequal(self, built):
+        g, index, loaded = built
+        fewer = build_sief(g)
+        fewer.supplements.pop(next(iter(fewer.supplements)))
+        assert fewer != index and fewer != loaded
+        other = build_sief(g)
+        other.labeling = build_pll(generators.path_graph(24))
+        assert other != index and other != loaded

@@ -1,22 +1,18 @@
-"""Unit tests for SIEF statistics and index serialization."""
+"""Unit tests for SIEF statistics and index persistence."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import SerializationError
+from repro.exceptions import StoreError
 from repro.graph import generators
 from repro.graph.traversal import UNREACHED, bfs_distances_avoiding_edge
 from repro.labeling.query import INF
 from repro.labeling.stats import BYTES_PER_ENTRY
 from repro.core.builder import SIEFBuilder
 from repro.core.query import SIEFQueryEngine
-from repro.core.serialize import (
-    index_from_bytes,
-    index_to_bytes,
-    load_index,
-    save_index,
-)
+from repro.core.index import SIEFIndex
+from repro.core.segstore import SEGMENTS_FILE, TOC_FILE, write_index
 from repro.core.stats import sief_stats, supplemental_bytes
 
 
@@ -71,17 +67,18 @@ class TestStats:
 
 
 class TestSerialize:
-    def test_round_trip_structure(self, built):
+    """Round trips through the segment store, the one persisted format."""
+
+    def test_round_trip_structure(self, built, tmp_path):
         index, _ = built
-        loaded = index_from_bytes(index_to_bytes(index))
+        loaded = _round_trip(index, tmp_path)
         assert loaded.labeling == index.labeling
         assert loaded.num_cases == index.num_cases
-        for edge, si in index.iter_cases():
-            assert loaded.supplement(*edge) == si
+        assert loaded == index
 
-    def test_round_trip_answers_queries(self, built, paper_graph):
+    def test_round_trip_answers_queries(self, built, paper_graph, tmp_path):
         index, _ = built
-        engine = SIEFQueryEngine(index_from_bytes(index_to_bytes(index)))
+        engine = SIEFQueryEngine(_round_trip(index, tmp_path))
         for u, v in paper_graph.edges():
             truth = bfs_distances_avoiding_edge(paper_graph, 0, (u, v))
             for t in range(11):
@@ -90,23 +87,31 @@ class TestSerialize:
 
     def test_file_round_trip(self, built, tmp_path):
         index, _ = built
-        path = tmp_path / "index.sief"
-        save_index(index, path)
-        loaded = load_index(path)
+        writer = write_index(index, tmp_path / "index")
+        assert writer.path == tmp_path / "index.siefseg"
+        assert writer.num_cases == index.num_cases
+        loaded = SIEFIndex.load(writer.path)
         assert loaded.num_cases == index.num_cases
 
-    def test_bad_magic(self):
-        with pytest.raises(SerializationError, match="magic"):
-            index_from_bytes(b"WRONGMAG" + b"\x00" * 32)
+    def test_bad_magic(self, built, tmp_path):
+        # An unreadable table of contents refuses to open.
+        path = write_index(built[0], tmp_path / "index").path
+        (path / TOC_FILE).write_bytes(b"WRONGMAG" + b"\x00" * 32)
+        with pytest.raises(StoreError, match="TOC"):
+            SIEFIndex.load(path)
 
-    def test_truncated(self, built):
-        blob = index_to_bytes(built[0])
-        with pytest.raises(SerializationError):
-            index_from_bytes(blob[:40])
+    def test_truncated(self, built, tmp_path):
+        path = write_index(built[0], tmp_path / "index").path
+        seg = path / SEGMENTS_FILE
+        seg.write_bytes(seg.read_bytes()[:40])
+        with pytest.raises(StoreError, match="truncated"):
+            SIEFIndex.load(path)
 
-    def test_round_trip_random_graph(self):
+    def test_round_trip_random_graph(self, tmp_path):
         g = generators.erdos_renyi_gnm(16, 30, seed=17)
         index, _ = SIEFBuilder(g).build()
-        loaded = index_from_bytes(index_to_bytes(index))
-        for edge, si in index.iter_cases():
-            assert loaded.supplement(*edge) == si
+        assert _round_trip(index, tmp_path) == index
+
+
+def _round_trip(index, tmp_path):
+    return SIEFIndex.load(write_index(index, tmp_path / "index").path)
