@@ -855,7 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.002,
         metavar="SECONDS",
-        help="flush the micro-batch when the oldest request waited this long",
+        help="cap on how long the oldest request waits while arrivals keep "
+        "coming; a micro-batch otherwise flushes once the event loop is idle",
     )
     serve.add_argument(
         "--queue-limit",

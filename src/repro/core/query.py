@@ -30,6 +30,7 @@ from repro.labeling.query import (
     INF,
     _ragged_gather,
     batch_dist_query,
+    batch_dist_validated,
     dist_query,
     validate_pairs,
 )
@@ -41,13 +42,11 @@ Distance = Union[int, float]
 
 def _member_sorted(sorted_arr: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Vectorized membership of ``vals`` in a sorted unique array."""
-    out = np.zeros(vals.shape, dtype=bool)
     if sorted_arr.size == 0:
-        return out
-    pos = np.searchsorted(sorted_arr, vals)
-    inb = pos < sorted_arr.size
-    out[inb] = sorted_arr[pos[inb]] == vals[inb]
-    return out
+        return np.zeros(vals.shape, dtype=bool)
+    pos = sorted_arr.searchsorted(vals)
+    np.minimum(pos, sorted_arr.size - 1, out=pos)
+    return sorted_arr[pos] == vals
 
 
 class QueryCase(enum.Enum):
@@ -146,7 +145,8 @@ class SIEFQueryEngine:
         """Vectorized ``d_{G - e}(s, t)`` for many pairs under one failure.
 
         The §4.4 classification runs as array operations: sorted-side
-        membership is one ``searchsorted`` per side, Case 1–3 pairs are
+        membership is one ``searchsorted`` per side over all endpoints
+        (read from the supplement's cached int64 sides), Case 1–3 pairs are
         answered in a single :func:`batch_dist_query` pass over the
         original labeling, and only the Case 4 (cross-side) pairs touch
         the supplemental labels — their ``SL(high)`` slices are gathered
@@ -167,21 +167,23 @@ class SIEFQueryEngine:
             labeling.freeze()
         si = index.supplement(*failed_edge)
         with _obs.span("sief.query.batch"):
+            k = len(p)
             s = p[:, 0]
             t = p[:, 1]
+            # Endpoints as one [s; t] array: one searchsorted per side.
+            ends = p.T.ravel()
+            side_u, side_v = si.side_arrays()
+            in_u = _member_sorted(side_u, ends)
+            in_v = _member_sorted(side_v, ends)
+            cross = ((in_u[:k] & in_v[k:]) | (in_v[:k] & in_u[k:])) & (s != t)
 
-            side_u = np.asarray(si.affected.side_u, dtype=np.int64)
-            side_v = np.asarray(si.affected.side_v, dtype=np.int64)
-            s_in_u = _member_sorted(side_u, s)
-            s_in_v = _member_sorted(side_v, s)
-            t_in_u = _member_sorted(side_u, t)
-            t_in_v = _member_sorted(side_v, t)
-            cross = ((s_in_u & t_in_v) | (s_in_v & t_in_u)) & (s != t)
-
-            out = np.empty(len(p), dtype=np.float64)
-            if not cross.all():
-                out[~cross] = batch_dist_query(labeling, p[~cross])
-            if cross.any():
+            if not cross.any():
+                out = batch_dist_validated(labeling, p)
+            else:
+                out = np.empty(k, dtype=np.float64)
+                rest = ~cross
+                if rest.any():
+                    out[rest] = batch_dist_validated(labeling, p[rest])
                 out[cross] = self._batch_case4(si, s[cross], t[cross])
         if reg is not None:
             reg.counter("sief.query.batch_calls").inc()

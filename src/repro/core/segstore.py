@@ -90,12 +90,12 @@ class MappedSupplement:
     """Read-only ``SI(u, v)`` view over one decoded segment record.
 
     Implements the surface :class:`~repro.core.query.SIEFQueryEngine`
-    and ``SIEFIndex.__eq__`` touch — ``affected``, ``get``, ``flat``,
-    ``edge``, ``labels``/``iter_labels``, ``total_entries`` — without
-    ever copying the rank/dist arrays: ``flat()`` returns views
-    into the segment mmap.  The affected-side tuples and the per-vertex
-    ``labels`` dict are built lazily and cached; for batch-path serving
-    they are never needed at all beyond the sides.
+    and ``SIEFIndex.__eq__`` touch — ``affected``, ``side_arrays``,
+    ``get``, ``flat``, ``edge``, ``labels``/``iter_labels``,
+    ``total_entries`` — without ever copying the side/rank/dist arrays:
+    ``side_arrays()`` and ``flat()`` return views into the segment mmap.
+    The affected-side tuples and the per-vertex ``labels`` dict are built
+    lazily and cached; the batch query path never builds either.
     """
 
     __slots__ = (
@@ -149,6 +149,10 @@ class MappedSupplement:
             )
             self._affected = av
         return av
+
+    def side_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The record's int64 sides, as views (no ``affected`` build)."""
+        return self._side_u, self._side_v
 
     def flat(self) -> FlatSupplement:
         flat = self._flat

@@ -76,7 +76,7 @@ class SupplementalIndex:
         are not stored.
     """
 
-    __slots__ = ("affected", "labels", "search_expanded", "_flat")
+    __slots__ = ("affected", "labels", "search_expanded", "_flat", "_sides")
 
     def __init__(self, affected: AffectedVertices) -> None:
         self.affected = affected
@@ -87,6 +87,10 @@ class SupplementalIndex:
         self.search_expanded = 0
         # Cached FlatSupplement for the batch query path (built lazily).
         self._flat: Optional[FlatSupplement] = None
+        # (affected, side_u, side_v) for side_arrays (built lazily).
+        self._sides: Optional[
+            Tuple[AffectedVertices, np.ndarray, np.ndarray]
+        ] = None
 
     @property
     def edge(self) -> Tuple[int, int]:
@@ -112,6 +116,23 @@ class SupplementalIndex:
     def total_entries(self) -> int:
         """Supplemental label entry count — the per-edge SLEN statistic."""
         return sum(len(sl) for sl in self.labels.values())
+
+    def side_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``affected.side_u``/``side_v`` as sorted int64 arrays (cached).
+
+        The cache is keyed on the ``affected`` object, so assigning a new
+        split rebuilds it.
+        """
+        sides = self._sides
+        if sides is None or sides[0] is not self.affected:
+            av = self.affected
+            sides = (
+                av,
+                np.asarray(av.side_u, dtype=np.int64),
+                np.asarray(av.side_v, dtype=np.int64),
+            )
+            self._sides = sides
+        return sides[1], sides[2]
 
     def flat(self) -> FlatSupplement:
         """The frozen flat view of this index's labels (cached).

@@ -461,9 +461,19 @@ def batch_dist_query(labeling, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
         disconnected pairs and ``0.0`` the ``s == t`` pairs.  Values are
         exact — identical to looping :func:`dist_query`.
     """
+    return batch_dist_validated(
+        labeling, validate_pairs(pairs, labeling.num_vertices)
+    )
+
+
+def batch_dist_validated(labeling, p: np.ndarray) -> np.ndarray:
+    """:func:`batch_dist_query` over pairs :func:`validate_pairs` returned.
+
+    For callers that validated the ids once already, so the hot path
+    does not check them twice.
+    """
     reg = _obs.registry
     t_start = time.perf_counter() if reg is not None else 0.0
-    p = validate_pairs(pairs, labeling.num_vertices)
     if p.size == 0:
         return np.zeros(0, dtype=np.float64)
     if labeling.offsets is None:
@@ -471,7 +481,7 @@ def batch_dist_query(labeling, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
     k = len(p)
     if k < _SCALAR_BATCH_THRESHOLD:
         return np.fromiter(
-            (dist_query(labeling, int(s), int(t)) for s, t in p),
+            (dist_query(labeling, s, t) for s, t in p.tolist()),
             count=k,
             dtype=np.float64,
         )

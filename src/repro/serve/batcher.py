@@ -11,8 +11,19 @@ distinct failed edges in the window.
 Flush policy — whichever comes first:
 
 * **size**: total queued pairs reached ``max_batch``;
-* **deadline**: the oldest queued item has waited ``max_delay`` seconds;
+* **idle**: two consecutive event-loop turns passed with no new
+  submission.  A request whose bytes are already on a socket reaches
+  :meth:`MicroBatcher.submit` within two turns (one to read the socket
+  and wake its connection task, one for that task to parse and submit),
+  so a quiet pair of turns means nothing else is on its way and waiting
+  longer only adds latency;
+* **deadline**: the oldest queued item has waited ``max_delay`` seconds
+  — a cap for sustained arrivals that never leave two quiet turns;
 * **drain**: :meth:`MicroBatcher.close` flushes whatever remains.
+
+A lone request therefore waits a few loop turns, not ``max_delay``;
+under concurrency the window stays open as long as arrivals keep
+coming, up to ``max_delay``.
 
 Backpressure is bounded and explicit: when accepting a request would
 push the queue past ``queue_limit`` pairs, :meth:`submit` raises
@@ -39,6 +50,9 @@ from repro.obs.events import EventLog
 from repro.obs.metrics import SIZE_EDGES, MetricsRegistry
 
 Edge = Tuple[int, int]
+
+_IDLE_TURNS = 2
+"""Consecutive event-loop turns without a submission that end a window."""
 
 
 class LoadShedError(Exception):
@@ -169,23 +183,20 @@ class MicroBatcher:
             self._flush(cause)
 
     async def _collect_window(self) -> str:
-        """Wait until a flush trigger fires; returns the cause label."""
-        assert self._wake is not None
-        if self._closing:
-            return "drain"
+        """Yield loop turns until a flush trigger fires; returns the cause."""
         deadline = self._items[0].enqueued + self.max_delay
-        while self._pending_pairs < self.max_batch:
-            remaining = deadline - self._clock()
-            if remaining <= 0:
+        quiet = 0
+        while not self._closing:
+            if self._pending_pairs >= self.max_batch:
+                return "size"
+            if quiet >= _IDLE_TURNS:
+                return "idle"
+            if self._clock() >= deadline:
                 return "deadline"
-            self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), remaining)
-            except asyncio.TimeoutError:
-                return "deadline"
-            if self._closing:
-                return "drain"
-        return "size"
+            seen = len(self._items)
+            await asyncio.sleep(0)
+            quiet = quiet + 1 if len(self._items) == seen else 0
+        return "drain"
 
     def _flush(self, cause: str) -> None:
         items, self._items = self._items, []

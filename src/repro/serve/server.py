@@ -425,7 +425,9 @@ class SIEFServer:
             status, payload = 404, _json_error(str(exc))
         except LoadShedError as exc:
             status, payload = 429, _json_error(str(exc))
-            extra = {"Retry-After": _retry_after(self.config.max_delay)}
+            # The smallest whole-second hint: a full queue empties in a
+            # few flushes, whatever the batching window.
+            extra = {"Retry-After": "1"}
         except (ValueError, IndexError, KeyError) as exc:
             # The engine's own validation (out-of-range vertex ids etc.)
             # is a client error, same as a malformed frame.
@@ -739,10 +741,6 @@ def _method_not_allowed(allow: str) -> Tuple[int, bytes, str, Dict[str, str]]:
         "application/json",
         {"Allow": allow},
     )
-
-
-def _retry_after(max_delay: float) -> str:
-    return str(max(1, int(math.ceil(max_delay))))
 
 
 def _parse_json(body: bytes) -> dict:

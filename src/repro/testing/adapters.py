@@ -616,8 +616,8 @@ class _ServeWorld:
                 SegmentStore(path), capacity=PagedSIEFIndex.DEFAULT_CAPACITY
             )
         )
-        # Tight flush deadline: the adapter's requests are serial, so
-        # every batch flushes on deadline — keep the fuzz loop fast.
+        # The adapter's requests are serial, so every batch flushes as
+        # soon as the loop is idle; the tight deadline only caps a window.
         # Tracing runs at full sample so the adapter can assert the
         # observability contract (event lines, /debug entries) per case.
         self.events = EventLog(capacity=4096, sample=1.0)

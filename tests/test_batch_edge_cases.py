@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core.builder import build_sief
+from repro.core.lazy import PagedSIEFIndex
 from repro.core.query import SIEFQueryEngine
+from repro.core.segstore import MappedSupplement, SegmentStore, write_index
+from repro.core.supplemental import SupplementalIndex
 from repro.graph import generators
 from repro.labeling.pll import build_pll
 from repro.labeling.query import batch_dist_query, validate_pairs
@@ -120,3 +123,108 @@ class TestEngineBatchQuery:
         batch = engine.batch_query(edge, pairs)
         for got, (s, t) in zip(batch, pairs):
             assert got == engine.distance(s, t, edge)
+
+
+# ---------------------------------------------------------------------------
+# the batch path reads the supplements' int64 side arrays
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def bridged():
+    """A random graph with a pendant tail (bridge failures cut the graph
+    in two) next to a disjoint cycle (pairs with no path at all)."""
+    g = generators.compose_disjoint(
+        [
+            generators.attach_tail(
+                generators.erdos_renyi_gnm(14, 24, seed=3), 4, seed=3
+            ),
+            generators.cycle_graph(5),
+        ]
+    )
+    return g, build_sief(g, build_pll(g))
+
+
+@pytest.fixture(scope="module")
+def bridged_store(bridged, tmp_path_factory):
+    _g, index = bridged
+    return write_index(index, tmp_path_factory.mktemp("sides") / "i.siefseg").path
+
+
+def _pair_kind(si, s, t):
+    side_s = si.affected.contains(s)
+    side_t = si.affected.contains(t)
+    if s == t:
+        return "self"
+    if side_s is None or side_t is None:
+        return "unaffected"
+    return "same" if side_s == side_t else "cross"
+
+
+@pytest.mark.parametrize("kind", ["resident", "mapped"])
+def test_batch_query_matches_distance_on_every_case(
+    bridged, bridged_store, kind
+):
+    g, index = bridged
+    if kind == "mapped":
+        index = SegmentStore(bridged_store).to_index()
+    cls = MappedSupplement if kind == "mapped" else SupplementalIndex
+    engine = SIEFQueryEngine(index)
+    n = g.num_vertices
+    pairs = [(s, t) for s in range(n) for t in range(n)]
+    seen = set()
+    for edge in sorted(g.edges()):
+        si = index.supplement(*edge)
+        assert isinstance(si, cls)
+        side_u, side_v = si.side_arrays()
+        assert side_u.dtype == side_v.dtype == np.int64
+        assert tuple(side_u.tolist()) == si.affected.side_u
+        assert tuple(side_v.tolist()) == si.affected.side_v
+        got = engine.batch_query(edge, pairs)
+        for d, (s, t) in zip(got, pairs):
+            want = engine.distance(s, t, edge)
+            assert d == want, (edge, s, t, d, want)
+            kind_of = _pair_kind(si, s, t)
+            seen.add(kind_of)
+            if si.affected.disconnected and kind_of == "cross":
+                seen.add("bridge")
+                assert d == np.inf
+    assert seen == {"self", "unaffected", "same", "cross", "bridge"}
+
+
+def test_side_arrays_cache_follows_affected(bridged):
+    g, index = bridged
+    si = index.supplement(*sorted(g.edges())[0])
+    first = si.side_arrays()
+    assert si.side_arrays()[0] is first[0]  # cached, not rebuilt
+    other = index.supplement(*sorted(g.edges())[1])
+    copy = SupplementalIndex(si.affected)
+    assert copy.side_arrays()[0].tolist() == list(si.affected.side_u)
+    copy.affected = other.affected
+    assert copy.side_arrays()[0].tolist() == list(other.affected.side_u)
+
+
+def test_served_batch_never_builds_affected_tuples(bridged, bridged_store):
+    """Page-in over the store, answer through the daemon's batch path:
+    the resident ``MappedSupplement``s keep their sides as mmap views and
+    never build the ``affected`` tuples."""
+    from repro.serve.client import ServeClient
+    from repro.serve.inprocess import InProcessServer
+
+    g, index = bridged
+    edges = sorted(g.edges())
+    paged = PagedSIEFIndex(SegmentStore(bridged_store), capacity=len(edges))
+    n = g.num_vertices
+    pairs = [(s, t) for s in range(n) for t in range(n)]
+    want = SIEFQueryEngine(index)
+    with InProcessServer(SIEFQueryEngine(paged)) as srv:
+        client = ServeClient(srv.host, srv.port)
+        for edge in edges:
+            got = client.batch(edge, pairs)
+            assert list(got) == list(want.batch_query(edge, pairs))
+        client.close()
+    assert paged.resident_cases == len(edges)
+    for edge in edges:
+        si = paged.supplement(*edge)
+        assert isinstance(si, MappedSupplement)
+        assert si._affected is None, edge

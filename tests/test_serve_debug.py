@@ -281,7 +281,7 @@ def test_request_events_carry_decomposition_and_flush_correlates(
     ]
     assert flushes, events.recent()
     assert flushes[0]["pairs"] >= 1
-    assert flushes[0]["cause"] in ("size", "deadline", "drain")
+    assert flushes[0]["cause"] in ("size", "idle", "deadline", "drain")
 
 
 def test_errors_bypass_sampling(engine, an_edge):
