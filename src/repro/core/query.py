@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.index import SIEFIndex
 from repro.core.supplemental import SupplementalLabels
 from repro.labeling.query import (
+    _SCALAR_BATCH_THRESHOLD,
     INF,
     _ragged_gather,
     batch_dist_query,
@@ -151,7 +152,10 @@ class SIEFQueryEngine:
         original labeling, and only the Case 4 (cross-side) pairs touch
         the supplemental labels — their ``SL(high)`` slices are gathered
         from the flat supplement and folded through one more batch label
-        query.  The labeling is frozen in place on first use.
+        query.  The labeling is frozen in place on first use.  Batches
+        of fewer than ``_SCALAR_BATCH_THRESHOLD`` pairs, where numpy's
+        per-call cost outweighs the work, are classified pair by pair
+        against the same side arrays instead (:meth:`_small_batch`).
 
         Returns a ``float64`` array (``numpy.inf`` for disconnected
         pairs) with exactly the values :meth:`distance` returns pairwise.
@@ -168,32 +172,66 @@ class SIEFQueryEngine:
         si = index.supplement(*failed_edge)
         with _obs.span("sief.query.batch"):
             k = len(p)
-            s = p[:, 0]
-            t = p[:, 1]
-            # Endpoints as one [s; t] array: one searchsorted per side.
-            ends = p.T.ravel()
-            side_u, side_v = si.side_arrays()
-            in_u = _member_sorted(side_u, ends)
-            in_v = _member_sorted(side_v, ends)
-            cross = ((in_u[:k] & in_v[k:]) | (in_v[:k] & in_u[k:])) & (s != t)
-
-            if not cross.any():
-                out = batch_dist_validated(labeling, p)
+            if k < _SCALAR_BATCH_THRESHOLD:
+                out, n_cross = self._small_batch(si, p)
             else:
-                out = np.empty(k, dtype=np.float64)
-                rest = ~cross
-                if rest.any():
-                    out[rest] = batch_dist_validated(labeling, p[rest])
-                out[cross] = self._batch_case4(si, s[cross], t[cross])
+                out, n_cross = self._vector_batch(si, p)
         if reg is not None:
             reg.counter("sief.query.batch_calls").inc()
-            reg.counter("sief.query.batch_pairs").inc(len(p))
-            reg.counter("sief.query.cross_side").inc(int(cross.sum()))
-            reg.histogram("sief.query.batch_size", SIZE_EDGES).observe(len(p))
+            reg.counter("sief.query.batch_pairs").inc(k)
+            reg.counter("sief.query.cross_side").inc(n_cross)
+            reg.histogram("sief.query.batch_size", SIZE_EDGES).observe(k)
             reg.histogram("sief.query.batch_seconds").observe(
                 time.perf_counter() - t_start
             )
         return out
+
+    def _small_batch(self, si, p: np.ndarray) -> Tuple[np.ndarray, int]:
+        """The §4.4 classification one pair at a time; ``(out, cross)``.
+
+        Same cases as :meth:`distance`, but membership is a binary search
+        on ``si.side_arrays()``, so a store-backed supplement never
+        builds its ``affected`` tuples.
+        """
+        labeling = self.index.labeling
+        side_u, side_v = si.side_arrays()
+        out = np.empty(len(p), dtype=np.float64)
+        cross = 0
+        for i, (s, t) in enumerate(p.tolist()):
+            side_s = _side_of(side_u, side_v, s) if s != t else 0
+            if side_s:
+                side_t = _side_of(side_u, side_v, t)
+                if side_t and side_t != side_s:
+                    cross += 1
+                    if labeling.ordering.precedes(s, t):
+                        out[i] = _case4_eval(labeling, si.get(t), s)
+                    else:
+                        out[i] = _case4_eval(labeling, si.get(s), t)
+                    continue
+            out[i] = dist_query(labeling, s, t)
+        return out, cross
+
+    def _vector_batch(self, si, p: np.ndarray) -> Tuple[np.ndarray, int]:
+        """The §4.4 classification as array operations; ``(out, cross)``."""
+        labeling = self.index.labeling
+        k = len(p)
+        s = p[:, 0]
+        t = p[:, 1]
+        # Endpoints as one [s; t] array: one searchsorted per side.
+        ends = p.T.ravel()
+        side_u, side_v = si.side_arrays()
+        in_u = _member_sorted(side_u, ends)
+        in_v = _member_sorted(side_v, ends)
+        cross = ((in_u[:k] & in_v[k:]) | (in_v[:k] & in_u[k:])) & (s != t)
+        n_cross = int(cross.sum())
+        if not n_cross:
+            return batch_dist_validated(labeling, p), 0
+        out = np.empty(k, dtype=np.float64)
+        rest = ~cross
+        if n_cross < k:
+            out[rest] = batch_dist_validated(labeling, p[rest])
+        out[cross] = self._batch_case4(si, s[cross], t[cross])
+        return out, n_cross
 
     def _batch_case4(
         self, si, s: np.ndarray, t: np.ndarray
@@ -279,6 +317,17 @@ class SIEFQueryEngine:
             _case4_eval(labeling, si.get(high), low),
             QueryCase.CROSS_SIDES,
         )
+
+
+def _side_of(side_u: np.ndarray, side_v: np.ndarray, x: int) -> int:
+    """1 if ``x`` is on side u, 2 if on side v, 0 if unaffected."""
+    pos = side_u.searchsorted(x)
+    if pos < side_u.size and side_u[pos] == x:
+        return 1
+    pos = side_v.searchsorted(x)
+    if pos < side_v.size and side_v[pos] == x:
+        return 2
+    return 0
 
 
 def _case4_eval(labeling, sl: SupplementalLabels, low: int) -> Distance:

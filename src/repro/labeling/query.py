@@ -231,8 +231,13 @@ def validate_pairs(pairs: Sequence[Tuple[int, int]], n: int) -> np.ndarray:
         return p.reshape(0, 2)
     if p.ndim != 2 or p.shape[1] != 2:
         raise ValueError(f"pairs must have shape (k, 2), got {p.shape}")
-    lo = int(p.min())
-    hi = int(p.max())
+    if len(p) < _SCALAR_BATCH_THRESHOLD:
+        # A few ids: Python's min/max beat two numpy reductions.
+        ids = p.ravel().tolist()
+        lo, hi = min(ids), max(ids)
+    else:
+        lo = int(p.min())
+        hi = int(p.max())
     if lo < 0 or hi >= n:
         raise IndexError(
             f"pair vertex out of range for {n} vertices: "

@@ -24,7 +24,16 @@ imports the rest of the library, so any layer may depend on it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 Number = Union[int, float]
 
@@ -137,6 +146,23 @@ class Histogram:
         return (
             f"Histogram({self.name!r}, count={self.count}, sum={self.sum})"
         )
+
+
+class Family(dict):
+    """One name family (``serve.http.<status>``) as a dict of instruments.
+
+    ``family[label]`` is ``make(label)``, created on first use and cached,
+    so a hot path resolves each instrument once instead of formatting
+    its name and looking it up in the registry on every event.
+    """
+
+    def __init__(self, make: Callable[[Hashable], object]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, label: Hashable) -> object:
+        instrument = self[label] = self.make(label)
+        return instrument
 
 
 class MetricsRegistry:

@@ -2,7 +2,7 @@
 
 One process, one event loop, one :class:`~repro.serve.batcher.MicroBatcher`
 in front of one :class:`~repro.core.query.SIEFQueryEngine`.  HTTP/1.1 is
-parsed by hand on top of ``asyncio.start_server`` — the container ships
+framed by hand in an :class:`asyncio.Protocol` — the container ships
 no third-party HTTP stack, and the five routes here need less than a
 framework brings:
 
@@ -19,6 +19,10 @@ framework brings:
 
 Every query — single or batch, JSON or binary — goes through the
 micro-batcher, so concurrency turns into engine-side batch size.
+
+Connections are callbacks, not reader tasks (:class:`_Connection`);
+each request runs as one task, and ``request_timeout`` is a
+``loop.call_later`` timer that cancels it and answers 504.
 
 Every request carries a :class:`~repro.obs.context.RequestContext`: the
 trace id comes from a ``traceparent`` header, an ``X-Trace-Id`` header,
@@ -75,7 +79,7 @@ from repro.obs.context import (
 )
 from repro.obs.events import EventLog, peak_rss_bytes
 from repro.obs.export import to_prometheus_text
-from repro.obs.metrics import REQUEST_LATENCY_EDGES, MetricsRegistry
+from repro.obs.metrics import REQUEST_LATENCY_EDGES, Family, MetricsRegistry
 from repro.serve.batcher import LoadShedError, MicroBatcher
 from repro.serve.protocol import (
     ProtocolError,
@@ -131,14 +135,132 @@ class ServeConfig:
     slow_seconds: Optional[float] = None
 
 
-class _Conn:
-    """Per-connection state the drain path needs to see."""
+class _Connection(asyncio.Protocol):
+    """One client connection: frames requests and answers them in order.
 
-    __slots__ = ("writer", "busy")
+    A request is framed once its head and ``Content-Length`` body bytes
+    are buffered.  One is in flight at a time; the next is framed after
+    its answer was written, or once a paused transport resumes writing.
+    Reading pauses while over ``max_header`` bytes wait behind a request.
+    """
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.busy = False
+    def __init__(self, server: "SIEFServer") -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.buf = bytearray()
+        # (method, path, headers, body start, length) of a framed head
+        # whose body is still arriving.
+        self.head: Optional[Tuple[str, str, Dict[str, str], int, int]] = None
+        self.task: Optional[asyncio.Task] = None  # the request in flight
+        self.write_paused = False
+        self.read_paused = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._conns.add(self)
+        self.server._connections.inc()
+
+    def connection_lost(self, exc) -> None:
+        # A handler still running finishes; its answer is dropped.
+        self.server._conns.discard(self)
+        self.server._connections.dec()
+
+    def data_received(self, data: bytes) -> None:
+        self.buf += data
+        if self.task is None and not self.write_paused:
+            self._frame()
+        elif (
+            not self.read_paused
+            and len(self.buf) > self.server.config.max_header
+        ):
+            self.read_paused = True
+            self.transport.pause_reading()
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._frame()
+
+    def _frame(self) -> None:
+        """Start the next complete request in the buffer, if there is one."""
+        transport = self.transport
+        if self.task or self.write_paused or transport.is_closing():
+            return
+        server = self.server
+        if server._draining:
+            transport.close()
+            return
+        if self.read_paused:
+            self.read_paused = False
+            transport.resume_reading()
+        buf = self.buf
+        head = self.head
+        if head is None:
+            if not buf:
+                return
+            try:
+                head = self.head = _frame_head(buf, server.config)
+            except ValueError as exc:
+                # Garbled or oversized head: the stream cannot be
+                # re-synchronized, so answer 400 and close.
+                transport.write(
+                    _response(400, _json_error(str(exc)), keep_alive=False)
+                )
+                transport.close()
+                return
+            if head is None:
+                return  # still arriving
+        method, path, headers, start, length = head
+        if length > server.config.max_body:
+            # 413 without reading the body; the connection then closes.
+            body = _TOO_LARGE
+            buf.clear()
+        else:
+            end = start + length
+            if len(buf) < end:
+                return  # still arriving
+            body = bytes(buf[start:end])
+            del buf[:end]
+        self.head = None
+        self.task = task = asyncio.get_running_loop().create_task(
+            self._respond(method, path, headers, body)
+        )
+        server._handlers.add(task)
+
+    async def _respond(
+        self, method: str, path: str, headers: Dict[str, str], body: bytes
+    ) -> None:
+        server = self.server
+        transport = self.transport
+        keep_alive = False
+        try:
+            status, payload, content_type, extra = await server._dispatch(
+                method, path, headers, body
+            )
+            keep_alive = (
+                not server._draining
+                and headers.get("connection", "").lower() != "close"
+                and status not in (400, 413)
+            )
+            if not transport.is_closing():
+                transport.write(
+                    _response(status, payload, content_type, extra, keep_alive)
+                )
+        finally:
+            server._handlers.discard(self.task)
+            self.task = None
+            if keep_alive:
+                self._frame()
+            else:
+                transport.close()
+
+
+def _expire(task: "asyncio.Task", ctx: RequestContext) -> None:
+    """The ``request_timeout`` timer: mark the request, cancel its task."""
+    ctx.meta["timed_out"] = True
+    task.cancel()
 
 
 class SIEFServer:
@@ -172,15 +294,41 @@ class SIEFServer:
         # tracez-style request surfaces: in-flight contexts, a ring of
         # recently finished requests, and a min-heap keeping the slowest N.
         self._inflight: Dict[int, RequestContext] = {}
-        self._recent: Deque[dict] = deque(maxlen=self.config.debug_recent)
-        self._slow: List[Tuple[float, int, dict]] = []
+        self._recent: Deque[tuple] = deque(maxlen=self.config.debug_recent)
+        self._slow: List[tuple] = []
         self._seq = 0
         self._server: Optional[asyncio.base_events.Server] = None
-        self._conns: Set[_Conn] = set()
-        self._conn_tasks: Set[asyncio.Task] = set()
+        self._conns: Set[_Connection] = set()
+        self._handlers: Set[asyncio.Task] = set()
+        # path -> (the one allowed method, handler); GET handlers take no
+        # arguments, POST handlers (body, ctx, debug) and are async.
+        self._routes = {
+            "/healthz": ("GET", self._healthz),
+            "/metrics": ("GET", self._metrics),
+            "/failures": ("GET", self._failures),
+            "/debug/requests": ("GET", self._debug_requests),
+            "/debug/slow": ("GET", self._debug_slow),
+            "/dist": ("POST", self._dist),
+            "/batch": ("POST", self._batch_json),
+            "/batch.bin": ("POST", self._batch_binary),
+        }
         self._draining = False
         self.host: Optional[str] = None
         self.port: Optional[int] = None
+        # Instruments every request touches, resolved once.
+        reg = self.registry
+        self._connections = reg.gauge("serve.connections")
+        self._requests = reg.counter("serve.requests")
+        self._requests_inflight = reg.gauge("serve.requests_inflight")
+        self._request_seconds = reg.histogram(
+            "serve.request.seconds", REQUEST_LATENCY_EDGES
+        )
+        self._status = Family(lambda code: reg.counter(f"serve.http.{code}"))
+        self._stages = Family(
+            lambda stage: reg.histogram(
+                f"serve.stage.{stage}_seconds", REQUEST_LATENCY_EDGES
+            )
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -193,17 +341,14 @@ class SIEFServer:
         load-balances accepts.
         """
         self.batcher.start()
-        if sock is not None:
-            self._server = await asyncio.start_server(
-                self._on_connection, sock=sock, limit=self.config.max_header
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._on_connection,
-                host=self.config.host,
-                port=self.config.port,
-                limit=self.config.max_header,
-            )
+        where = (
+            {"sock": sock}
+            if sock is not None
+            else {"host": self.config.host, "port": self.config.port}
+        )
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), **where
+        )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
         self.registry.gauge("serve.up").set(1)
@@ -224,150 +369,25 @@ class SIEFServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for conn in list(self._conns):
-            if not conn.busy:
-                conn.writer.close()
-        if self._conn_tasks:
+            if conn.task is None:
+                conn.transport.close()
+        if self._handlers:
             await asyncio.wait(
-                self._conn_tasks, timeout=self.config.drain_timeout
+                set(self._handlers), timeout=self.config.drain_timeout
             )
-        for task in list(self._conn_tasks):
+        for task in list(self._handlers):
             task.cancel()
+        if self._server is not None:
+            # After the connections close: from Python 3.12 on this also
+            # waits for every accepted connection to go away.
+            await self._server.wait_closed()
         await self.batcher.close()
         self.registry.gauge("serve.up").set(0)
 
     @property
     def draining(self) -> bool:
         return self._draining
-
-    # -- connection loop ---------------------------------------------------
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Conn(writer)
-        self._conns.add(conn)
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self.registry.gauge("serve.connections").inc()
-        try:
-            await self._connection_loop(reader, writer, conn)
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.CancelledError,
-        ):
-            pass
-        finally:
-            self._conns.discard(conn)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            self.registry.gauge("serve.connections").dec()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    async def _connection_loop(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        conn: _Conn,
-    ) -> None:
-        while not self._draining:
-            try:
-                request = await self._read_request(reader)
-            except ValueError as exc:
-                # Oversized/garbled request line or headers.  Answer 400
-                # and close; the stream is not re-synchronizable.
-                await self._send(
-                    writer, 400, _json_error(str(exc)), keep_alive=False
-                )
-                return
-            if request is None:
-                return  # clean EOF between requests
-            method, path, headers, body = request
-            conn.busy = True
-            try:
-                status, payload, content_type, extra = await self._dispatch(
-                    method, path, headers, body
-                )
-            finally:
-                conn.busy = False
-            keep_alive = (
-                not self._draining
-                and headers.get("connection", "").lower() != "close"
-                and status not in (400, 413)
-            )
-            await self._send(
-                writer,
-                status,
-                payload,
-                content_type=content_type,
-                extra=extra,
-                keep_alive=keep_alive,
-            )
-            if not keep_alive:
-                return
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """One request off the wire, or ``None`` on clean EOF.
-
-        Raises ``ValueError`` on anything malformed at the framing layer
-        (bad request line, oversized headers, bad Content-Length).
-        """
-        try:
-            line = await reader.readline()
-        except asyncio.LimitOverrunError:
-            raise ValueError("request line too long") from None
-        if not line:
-            return None
-        try:
-            method, path, _version = line.decode("ascii").split(None, 2)
-        except (UnicodeDecodeError, ValueError):
-            raise ValueError("malformed request line") from None
-        headers: Dict[str, str] = {}
-        header_bytes = 0
-        while True:
-            try:
-                hline = await reader.readline()
-            except asyncio.LimitOverrunError:
-                raise ValueError("header line too long") from None
-            if not hline:
-                raise asyncio.IncompleteReadError(b"", None)
-            if hline in (b"\r\n", b"\n"):
-                break
-            header_bytes += len(hline)
-            if header_bytes > self.config.max_header:
-                raise ValueError("headers too large")
-            try:
-                name, _, value = hline.decode("latin-1").partition(":")
-            except UnicodeDecodeError:
-                raise ValueError("malformed header") from None
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        length_str = headers.get("content-length")
-        if length_str is not None:
-            try:
-                length = int(length_str)
-            except ValueError:
-                raise ValueError(
-                    f"bad Content-Length {length_str!r}"
-                ) from None
-            if length < 0:
-                raise ValueError("negative Content-Length")
-            if length > self.config.max_body:
-                # Signal 413 without draining the oversized body; the
-                # dispatch layer maps this sentinel, connection closes.
-                return method, path, headers, _TOO_LARGE
-            if length:
-                body = await reader.readexactly(length)
-        return method, path, headers, body
 
     # -- dispatch ----------------------------------------------------------
 
@@ -395,8 +415,8 @@ class SIEFServer:
         self, method: str, path: str, headers: Dict[str, str], body: bytes
     ) -> Tuple[int, bytes, str, Dict[str, str]]:
         reg = self.registry
-        reg.counter("serve.requests").inc()
-        reg.gauge("serve.requests_inflight").inc()
+        self._requests.inc()
+        self._requests_inflight.inc()
         path, _, query = path.partition("?")
         debug = "debug=1" in query.split("&") if query else False
         ctx = self._make_context(method, path, headers)
@@ -410,11 +430,25 @@ class SIEFServer:
             if body is _TOO_LARGE:
                 status, payload = 413, _json_error("request body too large")
             else:
-                status, payload, content_type, extra = await asyncio.wait_for(
-                    self._route(method, path, body, ctx, debug),
-                    timeout=self.config.request_timeout,
+                # The timer cancels this task; only that cancellation is
+                # answered 504 below.
+                timer = asyncio.get_running_loop().call_later(
+                    self.config.request_timeout,
+                    _expire,
+                    asyncio.current_task(),
+                    ctx,
                 )
-        except asyncio.TimeoutError:
+                try:
+                    status, payload, content_type, extra = await self._route(
+                        method, path, body, ctx, debug
+                    )
+                finally:
+                    timer.cancel()
+        except (asyncio.CancelledError, asyncio.TimeoutError) as exc:
+            if isinstance(exc, asyncio.CancelledError) and (
+                "timed_out" not in ctx.meta
+            ):
+                raise
             status, payload = 504, _json_error(
                 f"request exceeded {self.config.request_timeout}s"
             )
@@ -435,8 +469,6 @@ class SIEFServer:
         except RuntimeError as exc:
             # The batcher refuses submissions while draining.
             status, payload = 503, _json_error(str(exc))
-        except asyncio.CancelledError:
-            raise
         except Exception as exc:  # noqa: BLE001 - the 500 guarantee
             status, payload = 500, _json_error(
                 f"{type(exc).__name__}: {exc}"
@@ -445,20 +477,16 @@ class SIEFServer:
         finally:
             seconds = time.perf_counter() - t0
             self._inflight.pop(id(ctx), None)
-            reg.gauge("serve.requests_inflight").dec()
-            reg.counter(f"serve.http.{status}").inc()
-            reg.histogram(
-                "serve.request.seconds", REQUEST_LATENCY_EDGES
-            ).observe(seconds)
+            self._requests_inflight.dec()
+            self._status[status].inc()
+            self._request_seconds.observe(seconds)
             for stage, spent in ctx.stages.items():
-                reg.histogram(
-                    f"serve.stage.{stage}_seconds", REQUEST_LATENCY_EDGES
-                ).observe(spent)
+                self._stages[stage].observe(spent)
             if ctx.pages_faulted:
                 reg.counter("serve.pages_faulted").inc(ctx.pages_faulted)
             extra["X-Trace-Id"] = ctx.trace_id
             self._finish_request(
-                ctx, method, path, status, seconds,
+                ctx, status, seconds,
                 bytes_in=0 if body is _TOO_LARGE else len(body),
                 bytes_out=len(payload),
             )
@@ -467,26 +495,16 @@ class SIEFServer:
     def _finish_request(
         self,
         ctx: RequestContext,
-        method: str,
-        path: str,
         status: int,
         seconds: float,
         bytes_in: int,
         bytes_out: int,
     ) -> None:
-        """Feed the debug rings, the event log, and the access log."""
-        entry = {
-            "trace_id": ctx.trace_id,
-            "method": method,
-            "path": path,
-            "status": status,
-            "seconds": round(seconds, 6),
-            "stages": {k: round(v, 6) for k, v in ctx.stages.items()},
-            "pages_faulted": ctx.pages_faulted,
-        }
-        self._recent.append(entry)
+        """Feed the debug rings (the ``/debug/*`` views build each entry
+        when asked), the event log, and the access log."""
+        self._recent.append((ctx, status, seconds))
         self._seq += 1
-        item = (seconds, self._seq, entry)
+        item = (seconds, self._seq, ctx, status)
         if len(self._slow) < self.config.debug_slow:
             heapq.heappush(self._slow, item)
         else:
@@ -496,7 +514,7 @@ class SIEFServer:
             ev.record(
                 {
                     "event": "request",
-                    **entry,
+                    **_request_entry(ctx, seconds, status),
                     "bytes_in": bytes_in,
                     "bytes_out": bytes_out,
                 },
@@ -508,8 +526,8 @@ class SIEFServer:
         if log is not None:
             log(
                 {
-                    "method": method,
-                    "path": path,
+                    "method": ctx.meta["method"],
+                    "path": ctx.meta["path"],
                     "status": status,
                     "seconds": round(seconds, 6),
                     "bytes_in": bytes_in,
@@ -531,45 +549,17 @@ class SIEFServer:
             result = hook(path)
             if inspect.isawaitable(result):
                 await result
-        if path == "/healthz":
-            if method != "GET":
-                return _method_not_allowed("GET")
-            return self._healthz()
-        if path == "/metrics":
-            if method != "GET":
-                return _method_not_allowed("GET")
-            self._refresh_gauges()
-            return (
-                200,
-                to_prometheus_text(self.registry).encode(),
-                "text/plain; version=0.0.4",
-                {},
-            )
-        if path == "/failures":
-            if method != "GET":
-                return _method_not_allowed("GET")
-            return self._failures()
-        if path == "/debug/requests":
-            if method != "GET":
-                return _method_not_allowed("GET")
-            return self._debug_requests()
-        if path == "/debug/slow":
-            if method != "GET":
-                return _method_not_allowed("GET")
-            return self._debug_slow()
-        if path == "/dist":
-            if method != "POST":
-                return _method_not_allowed("POST")
-            return await self._dist(body, ctx, debug)
-        if path == "/batch":
-            if method != "POST":
-                return _method_not_allowed("POST")
-            return await self._batch_json(body, ctx, debug)
-        if path == "/batch.bin":
-            if method != "POST":
-                return _method_not_allowed("POST")
-            return await self._batch_binary(body, ctx, debug)
-        return 404, _json_error(f"no route for {path}"), "application/json", {}
+        route = self._routes.get(path)
+        if route is None:
+            doc = _json_error(f"no route for {path}")
+            return 404, doc, "application/json", {}
+        allow, handler = route
+        if method != allow:
+            doc = _json_error(f"method not allowed; use {allow}")
+            return 405, doc, "application/json", {"Allow": allow}
+        if allow == "GET":
+            return handler()
+        return await handler(body, ctx, debug)
 
     # -- handlers ----------------------------------------------------------
 
@@ -582,6 +572,11 @@ class SIEFServer:
             "queue_depth": self.batcher.pending_pairs,
         }
         return 200, json.dumps(doc).encode(), "application/json", {}
+
+    def _metrics(self) -> Tuple[int, bytes, str, Dict[str, str]]:
+        self._refresh_gauges()
+        text = to_prometheus_text(self.registry).encode()
+        return 200, text, "text/plain; version=0.0.4", {}
 
     def _failures(self) -> Tuple[int, bytes, str, Dict[str, str]]:
         edges = sorted(self.engine.index.supplements)
@@ -598,29 +593,22 @@ class SIEFServer:
             for key, value in self.events.stats().items():
                 reg.gauge(f"serve.events.{key}").set(value)
 
-    def _context_entry(self, ctx: RequestContext) -> dict:
-        return {
-            "trace_id": ctx.trace_id,
-            "method": ctx.meta.get("method"),
-            "path": ctx.meta.get("path"),
-            "seconds": round(ctx.elapsed(), 6),
-            "stages": {k: round(v, 6) for k, v in ctx.stages.items()},
-            "pages_faulted": ctx.pages_faulted,
-        }
-
     def _debug_requests(self) -> Tuple[int, bytes, str, Dict[str, str]]:
         doc = {
             "inflight": [
-                self._context_entry(c) for c in self._inflight.values()
+                _request_entry(c, c.elapsed()) for c in self._inflight.values()
             ],
-            "recent": list(self._recent),
+            "recent": [
+                _request_entry(ctx, seconds, status)
+                for ctx, status, seconds in self._recent
+            ],
         }
         return 200, json.dumps(doc).encode(), "application/json", {}
 
     def _debug_slow(self) -> Tuple[int, bytes, str, Dict[str, str]]:
         slowest = [
-            entry
-            for _, _, entry in sorted(self._slow, reverse=True)
+            _request_entry(ctx, seconds, status)
+            for seconds, _, ctx, status in sorted(self._slow, reverse=True)
         ]
         doc = {"slow_seconds": self.slow_seconds, "slowest": slowest}
         return 200, json.dumps(doc).encode(), "application/json", {}
@@ -643,12 +631,7 @@ class SIEFServer:
             "distance": distance_to_json(d),
             "connected": not math.isinf(d),
         }
-        with ctx.stage("serialize"):
-            payload = json.dumps(resp).encode()
-        if debug:
-            resp["debug"] = ctx.decomposition()
-            payload = json.dumps(resp).encode()
-        return 200, payload, "application/json", {}
+        return _json_answer(resp, ctx, debug)
 
     async def _batch_json(
         self, body: bytes, ctx: RequestContext, debug: bool = False
@@ -670,12 +653,7 @@ class SIEFServer:
             "edge": [edge[0], edge[1]],
             "distances": distances_to_json(distances),
         }
-        with ctx.stage("serialize"):
-            payload = json.dumps(resp).encode()
-        if debug:
-            resp["debug"] = ctx.decomposition()
-            payload = json.dumps(resp).encode()
-        return 200, payload, "application/json", {}
+        return _json_answer(resp, ctx, debug)
 
     async def _batch_binary(
         self, body: bytes, ctx: RequestContext, debug: bool = False
@@ -703,44 +681,102 @@ class SIEFServer:
             return np.empty(0, dtype=np.float64)
         return await self.batcher.submit(edge, pairs, ctx)
 
-    # -- response writing --------------------------------------------------
-
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: bytes,
-        content_type: str = "application/json",
-        extra: Optional[Dict[str, str]] = None,
-        keep_alive: bool = True,
-    ) -> None:
-        lines = [
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(payload)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        for name, value in (extra or {}).items():
-            lines.append(f"{name}: {value}")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        writer.write(head + payload)
-        await writer.drain()
-
-
 _TOO_LARGE = b"\x00__body_too_large__"
+
+
+def _frame_head(
+    buf: bytearray, config: ServeConfig
+) -> Optional[Tuple[str, str, Dict[str, str], int, int]]:
+    """Frame the request head at the start of ``buf``.
+
+    Returns ``(method, path, headers, body start, Content-Length)``, or
+    ``None`` while the head is incomplete.  Raises ``ValueError`` on a
+    bad request line, headers beyond ``max_header`` bytes, or a bad or
+    negative Content-Length.
+    """
+    end = buf.find(b"\r\n\r\n")
+    line_end = buf.find(b"\r\n", 0, None if end < 0 else end + 2)
+    if end < 0:
+        if line_end < 0:
+            if len(buf) > config.max_header:
+                raise ValueError("request line too long")
+        elif len(buf) - line_end - 2 > config.max_header:
+            raise ValueError("headers too large")
+        return None
+    if end - line_end > config.max_header:
+        raise ValueError("headers too large")
+    try:
+        method, path, _version = buf[:line_end].decode("ascii").split(None, 2)
+    except (UnicodeDecodeError, ValueError):
+        raise ValueError("malformed request line") from None
+    headers: Dict[str, str] = {}
+    if end > line_end:
+        for line in buf[line_end + 2 : end].decode("latin-1").split("\r\n"):
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+    length = 0
+    length_str = headers.get("content-length")
+    if length_str is not None:
+        try:
+            length = int(length_str)
+        except ValueError:
+            raise ValueError(f"bad Content-Length {length_str!r}") from None
+        if length < 0:
+            raise ValueError("negative Content-Length")
+    return method, path, headers, end + 4, length
+
+
+def _response(
+    status: int,
+    payload: bytes,
+    content_type: str = "application/json",
+    extra: Optional[Dict[str, str]] = None,
+    keep_alive: bool = True,
+) -> bytes:
+    """One complete HTTP/1.1 response."""
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+    )
+    for name, value in (extra or {}).items():
+        head += f"{name}: {value}\r\n"
+    return (head + "\r\n").encode("latin-1") + payload
+
+
+def _request_entry(
+    ctx: RequestContext, seconds: float, status: Optional[int] = None
+) -> dict:
+    """A request as the debug views and the event log show it (a request
+    still in flight has no ``status``)."""
+    entry = {
+        "trace_id": ctx.trace_id,
+        "method": ctx.meta["method"],
+        "path": ctx.meta["path"],
+    }
+    if status is not None:
+        entry["status"] = status
+    entry["seconds"] = round(seconds, 6)
+    entry["stages"] = {k: round(v, 6) for k, v in ctx.stages.items()}
+    entry["pages_faulted"] = ctx.pages_faulted
+    return entry
+
+
+def _json_answer(
+    resp: dict, ctx: RequestContext, debug: bool
+) -> Tuple[int, bytes, str, Dict[str, str]]:
+    """A 200 JSON answer; ``debug`` adds the stage decomposition."""
+    with ctx.stage("serialize"):
+        payload = json.dumps(resp).encode()
+    if debug:
+        resp["debug"] = ctx.decomposition()
+        payload = json.dumps(resp).encode()
+    return 200, payload, "application/json", {}
 
 
 def _json_error(message: str) -> bytes:
     return json.dumps({"error": message}).encode()
-
-
-def _method_not_allowed(allow: str) -> Tuple[int, bytes, str, Dict[str, str]]:
-    return (
-        405,
-        _json_error(f"method not allowed; use {allow}"),
-        "application/json",
-        {"Allow": allow},
-    )
 
 
 def _parse_json(body: bytes) -> dict:

@@ -204,10 +204,76 @@ def test_side_arrays_cache_follows_affected(bridged):
     assert copy.side_arrays()[0].tolist() == list(other.affected.side_u)
 
 
+@pytest.mark.parametrize("kind", ["resident", "mapped"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_small_batches_match_distance_on_every_case(
+    bridged, bridged_store, kind, k
+):
+    """Batches below the scalar threshold take the per-pair path; every
+    §4.4 case, bridges and unreachable pairs included, must still equal
+    the scalar ``distance``.  Store-backed supplements answer from their
+    side arrays and never build the ``affected`` tuples."""
+    g, index = bridged
+    want = SIEFQueryEngine(index)
+    if kind == "mapped":
+        index = SegmentStore(bridged_store).to_index()
+    engine = SIEFQueryEngine(index)
+    n = g.num_vertices
+    pairs = [(s, t) for s in range(n) for t in range(n)]
+    seen = set()
+    for edge in sorted(g.edges()):
+        resident = want.index.supplement(*edge)
+        for i in range(0, len(pairs), k):
+            chunk = pairs[i : i + k]
+            got = engine.batch_query(edge, chunk)
+            assert got.dtype == np.float64 and len(got) == len(chunk)
+            for d, (s, t) in zip(got, chunk):
+                assert d == want.distance(s, t, edge), (edge, s, t, d)
+                kind_of = _pair_kind(resident, s, t)
+                seen.add(kind_of)
+                if resident.affected.disconnected and kind_of == "cross":
+                    seen.add("bridge")
+                    assert d == np.inf
+                if d == np.inf and kind_of != "cross":
+                    seen.add("unreachable")
+        if kind == "mapped":
+            assert index.supplement(*edge)._affected is None, edge
+    assert seen == {
+        "self", "unaffected", "same", "cross", "bridge", "unreachable"
+    }
+
+
+def test_small_batches_feed_the_batch_counters(bridged):
+    """perfbench's ``core.query.cross_share`` divides ``cross_side`` by
+    ``batch_pairs``: the per-pair path must count both."""
+    from repro.obs import hooks
+
+    g, index = bridged
+    engine = SIEFQueryEngine(index)
+    n = g.num_vertices
+    edge = next(
+        e for e in sorted(g.edges())
+        if any(
+            _pair_kind(index.supplement(*e), s, t) == "cross"
+            for s in range(n) for t in range(n)
+        )
+    )
+    si = index.supplement(*edge)
+    pairs = [(s, t) for s in range(n) for t in range(n)][:300]
+    cross = sum(_pair_kind(si, s, t) == "cross" for s, t in pairs)
+    assert cross > 0
+    with hooks.installed() as reg:
+        for i in range(0, len(pairs), 3):
+            engine.batch_query(edge, pairs[i : i + 3])
+    assert reg.counter_value("sief.query.batch_pairs") == len(pairs)
+    assert reg.counter_value("sief.query.batch_calls") == 100
+    assert reg.counter_value("sief.query.cross_side") == cross
+
+
 def test_served_batch_never_builds_affected_tuples(bridged, bridged_store):
-    """Page-in over the store, answer through the daemon's batch path:
-    the resident ``MappedSupplement``s keep their sides as mmap views and
-    never build the ``affected`` tuples."""
+    """Page-in over the store, answer through the daemon's ``/batch`` and
+    ``/dist`` routes: the resident ``MappedSupplement``s keep their sides
+    as mmap views and never build the ``affected`` tuples."""
     from repro.serve.client import ServeClient
     from repro.serve.inprocess import InProcessServer
 
@@ -220,8 +286,18 @@ def test_served_batch_never_builds_affected_tuples(bridged, bridged_store):
     with InProcessServer(SIEFQueryEngine(paged)) as srv:
         client = ServeClient(srv.host, srv.port)
         for edge in edges:
+            expected = want.batch_query(edge, pairs)
             got = client.batch(edge, pairs)
-            assert list(got) == list(want.batch_query(edge, pairs))
+            assert list(got) == list(expected)
+            # Single pairs: every 37th pair plus the first cross pairs.
+            si = index.supplement(*edge)
+            picks = list(range(0, len(pairs), 37)) + [
+                i for i, (s, t) in enumerate(pairs)
+                if _pair_kind(si, s, t) == "cross"
+            ][:3]
+            for i in picks:
+                s, t = pairs[i]
+                assert client.distance(s, t, edge) == expected[i], (edge, s, t)
         client.close()
     assert paged.resident_cases == len(edges)
     for edge in edges:

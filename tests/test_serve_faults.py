@@ -157,6 +157,126 @@ def test_out_of_range_vertex_is_client_error(engine, an_edge):
 
 
 # ---------------------------------------------------------------------------
+# connection layer: framing, pipelining, disconnects
+# ---------------------------------------------------------------------------
+
+
+INF = float("inf")
+
+
+def _dist_request(s, t, edge) -> bytes:
+    body = json.dumps({"s": s, "t": t, "edge": list(edge)}).encode()
+    return (
+        b"POST /dist HTTP/1.1\r\nHost: x\r\nContent-Length: "
+        + str(len(body)).encode()
+        + b"\r\n\r\n"
+        + body
+    )
+
+
+def _read_response(stream):
+    """``(status, headers, body)`` of one response, or ``None`` on EOF."""
+    status_line = stream.readline()
+    if not status_line:
+        return None
+    headers = {}
+    while True:
+        line = stream.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers.get("content-length", 0)))
+    return int(status_line.split()[1]), headers, body
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.01)
+
+
+def test_pipelined_requests_answered_in_order(engine, an_edge):
+    pairs = [(0, 5), (3, 3), (7, 2)]
+    with InProcessServer(engine) as srv:
+        with socket.create_connection((srv.host, srv.port), timeout=5) as s:
+            s.sendall(b"".join(_dist_request(a, b, an_edge) for a, b in pairs))
+            stream = s.makefile("rb")
+            for a, b in pairs:
+                status, _, body = _read_response(stream)
+                assert status == 200
+                doc = json.loads(body)
+                assert (doc["s"], doc["t"]) == (a, b)
+                want = engine.distance(a, b, an_edge)
+                assert doc["distance"] == (None if want == INF else want)
+
+
+def test_request_sent_one_byte_at_a_time(engine, an_edge):
+    request = _dist_request(0, 5, an_edge)
+    with InProcessServer(engine) as srv:
+        with socket.create_connection((srv.host, srv.port), timeout=5) as s:
+            s.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(len(request)):
+                s.sendall(request[i : i + 1])
+            status, _, body = _read_response(s.makefile("rb"))
+            assert status == 200
+            want = engine.distance(0, 5, an_edge)
+            assert json.loads(body)["distance"] == want
+
+
+def test_endless_headers_are_400_and_close(engine):
+    with InProcessServer(engine) as srv:
+        with socket.create_connection((srv.host, srv.port), timeout=5) as s:
+            s.sendall(b"POST /dist HTTP/1.1\r\n")
+            try:
+                for i in range(20 * 1024 // 32):
+                    s.sendall(b"X-Filler-%04d: " % i + b"y" * 16 + b"\r\n")
+            except OSError:
+                pass  # the server may close before the last bytes land
+            stream = s.makefile("rb")
+            status, headers, body = _read_response(stream)
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert "headers too large" in json.loads(body)["error"]
+            assert stream.read() == b""  # closed
+        with ServeClient(srv.host, srv.port) as client:
+            assert client.healthz()["status"] == "ok"
+
+
+@pytest.mark.parametrize("cut", ["headers", "body", "handler"])
+def test_client_disconnect_mid_request_leaks_nothing(engine, an_edge, cut):
+    """A client that goes away mid-request leaves no connection or
+    in-flight request behind, and the server keeps answering."""
+
+    async def slow(path):
+        if path == "/dist":
+            await asyncio.sleep(0.2)
+
+    request = _dist_request(0, 5, an_edge)
+    head_end = request.index(b"\r\n\r\n") + 4
+    partial = {
+        "headers": request[: head_end - 10],
+        "body": request[: head_end + 3],
+        "handler": request,
+    }[cut]
+    config = ServeConfig(fault_hook=slow if cut == "handler" else None)
+    with InProcessServer(engine, config) as srv:
+        gauges = srv.registry.gauges
+        with socket.create_connection((srv.host, srv.port), timeout=5) as s:
+            s.sendall(partial)
+            _wait_for(lambda: gauges["serve.connections"].value == 1)
+            if cut == "handler":
+                _wait_for(lambda: gauges["serve.requests_inflight"].value == 1)
+        _wait_for(lambda: gauges["serve.connections"].value == 0)
+        _wait_for(lambda: gauges["serve.requests_inflight"].value == 0)
+        with ServeClient(srv.host, srv.port) as client:
+            want = engine.distance(0, 5, an_edge)
+            assert client.distance(0, 5, an_edge) == want
+        _wait_for(lambda: gauges["serve.connections"].value == 0)
+
+
+# ---------------------------------------------------------------------------
 # injected handler faults
 # ---------------------------------------------------------------------------
 
